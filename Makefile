@@ -8,11 +8,10 @@ ROUTED_DIR ?= .routed-smoke
 .PHONY: verify build test vet vet386 race bench-routing bench bench-diff bench-smoke verify-resume obs-smoke routed-smoke
 
 # Routing benchmarks: the adjacency-index and parallel-verification
-# suites plus the A9 enumeration-kernel ablation, the A10 orbit
-# reduction, and the A11 stage-1/stage-2 orbit kernel comparison;
-# -benchmem adds the B/op and allocs/op columns the kernel work is
-# judged by.
-BENCH_PATTERN = BenchmarkVerifyFullRoutingAdjacency|BenchmarkA7ParallelVerification|BenchmarkA9EnumerationKernel|BenchmarkA10OrbitReduction|BenchmarkA11StageTwoKernel
+# suites plus the A10 orbit kernel against the full-enumeration
+# oracle; -benchmem adds the B/op and allocs/op columns the kernel
+# work is judged by.
+BENCH_PATTERN = BenchmarkVerifyFullRoutingAdjacency|BenchmarkA7ParallelVerification|BenchmarkA10OrbitReduction
 
 verify: vet test race vet386
 
@@ -84,7 +83,8 @@ bench-smoke:
 # End-to-end checkpoint/resume acceptance check: pause a Strassen k=4
 # verification after 3 of 8 shards, resume it at a different worker
 # count, and require the final stats line to be byte-identical to an
-# uninterrupted run. Exit code 3 is the verifier's "paused, rerun with
+# uninterrupted full-enumeration (-orbits=false) run, so the gate also
+# cross-checks the default orbit kernel against the oracle. Exit code 3 is the verifier's "paused, rerun with
 # -resume" signal. Single shell + trap so the scratch dir is removed
 # even when a step fails.
 verify-resume:
@@ -98,7 +98,7 @@ verify-resume:
 	$(RESUME_DIR)/routecheck -alg strassen -k 4 -workers 5 \
 		-checkpoint $(RESUME_DIR)/k4.ckpt -resume -journal $(RESUME_DIR)/runs.jsonl \
 		> $(RESUME_DIR)/resumed.out; \
-	$(RESUME_DIR)/routecheck -alg strassen -k 4 -workers 2 > $(RESUME_DIR)/fresh.out; \
+	$(RESUME_DIR)/routecheck -alg strassen -k 4 -workers 2 -orbits=false > $(RESUME_DIR)/fresh.out; \
 	grep '^stats:' $(RESUME_DIR)/resumed.out > $(RESUME_DIR)/resumed.stats; \
 	grep '^stats:' $(RESUME_DIR)/fresh.out > $(RESUME_DIR)/fresh.stats; \
 	cmp $(RESUME_DIR)/resumed.stats $(RESUME_DIR)/fresh.stats; \
@@ -137,8 +137,11 @@ obs-smoke:
 	curl -sfo /dev/null "$$url/debug/pprof/"; \
 	echo "obs-smoke: PASS — /metrics and /healthz live on $$url"
 
-# Verification-service acceptance check, two legs against real daemons
-# on ephemeral ports. Cache leg: submit a job, poll it to completion,
+# Verification-service acceptance check, three legs against real
+# daemons on ephemeral ports. Signal leg: SIGTERM a fresh daemon as
+# soon as it announces its URL and require a clean drain (exit 0 and
+# the "draining" line), not a kill by the default signal action. Cache
+# leg: submit a job, poll it to completion,
 # resubmit the identical spec, and require the response to be served
 # from the result cache — "cached": true and the engine's
 # routing_paths_verified_total counter not advancing (nothing was
@@ -161,8 +164,17 @@ routed-smoke:
 	@set -e; pids=""; trap 'rm -rf $(ROUTED_DIR); [ -z "$$pids" ] || kill $$pids 2>/dev/null || true' EXIT; \
 	rm -rf $(ROUTED_DIR); mkdir -p $(ROUTED_DIR); \
 	$(GO) build -o $(ROUTED_DIR)/routed ./cmd/routed; \
+	$(ROUTED_DIR)/routed -addr 127.0.0.1:0 -datadir $(ROUTED_DIR)/data0 \
+		2> $(ROUTED_DIR)/d0.err & dpid=$$!; pids="$$dpid"; \
+	i=0; while [ $$i -lt 1000 ]; do \
+		grep -q '^routed listening on ' $(ROUTED_DIR)/d0.err && break; i=$$((i+1)); sleep 0.01; done; \
+	if [ $$i -ge 1000 ]; then echo "routed-smoke: signal-leg daemon never announced its URL"; cat $(ROUTED_DIR)/d0.err; exit 1; fi; \
+	kill -TERM $$dpid; st=0; wait $$dpid || st=$$?; \
+	if [ $$st -ne 0 ]; then echo "routed-smoke: daemon SIGTERMed at its announcement exited $$st, want 0"; cat $(ROUTED_DIR)/d0.err; exit 1; fi; \
+	grep -q ': draining' $(ROUTED_DIR)/d0.err \
+		|| { echo "routed-smoke: daemon SIGTERMed at its announcement did not drain"; cat $(ROUTED_DIR)/d0.err; exit 1; }; \
 	$(ROUTED_DIR)/routed -addr 127.0.0.1:0 -datadir $(ROUTED_DIR)/data1 \
-		-journal $(ROUTED_DIR)/d1.jsonl 2> $(ROUTED_DIR)/d1.err & pids="$$!"; \
+		-journal $(ROUTED_DIR)/d1.jsonl 2> $(ROUTED_DIR)/d1.err & pids="$$pids $$!"; \
 	url=""; i=0; while [ $$i -lt 100 ]; do \
 		url=$$(sed -n 's/^routed listening on //p' $(ROUTED_DIR)/d1.err); \
 		[ -n "$$url" ] && break; i=$$((i+1)); sleep 0.1; done; \
@@ -250,4 +262,4 @@ routed-smoke:
 		|| { echo "routed-smoke: merged trace has no final"; cat $(ROUTED_DIR)/routelog.out; exit 1; }; \
 	grep -q '^ waterfall:' $(ROUTED_DIR)/routelog.out \
 		|| { echo "routed-smoke: routelog produced no waterfall"; cat $(ROUTED_DIR)/routelog.out; exit 1; }; \
-	echo "routed-smoke: PASS — cache hit served without re-enumeration; crashed job resumed to a byte-identical certificate (polled and streamed) with two-leg cost accounting; capture ring live; routelog merged both legs into one trace"
+	echo "routed-smoke: PASS — SIGTERM at the announcement drained cleanly; cache hit served without re-enumeration; crashed job resumed to a byte-identical certificate (polled and streamed) with two-leg cost accounting; capture ring live; routelog merged both legs into one trace"

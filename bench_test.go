@@ -519,11 +519,9 @@ func BenchmarkA7ParallelVerification(b *testing.B) {
 	})
 }
 
-// BenchmarkVerifyFullRoutingAdjacency isolates what the CSR adjacency
-// index buys the verification hot path: full (stride 1) edge-by-edge
-// adjacency checking of every pair path, answered either by the index
-// or by the seed's per-edge linear scan over freshly enumerated parent
-// slices.
+// BenchmarkVerifyFullRoutingAdjacency measures the verification hot
+// path with full (stride 1) edge-by-edge adjacency checking of every
+// pair path, answered by the graph's CSR adjacency index.
 func BenchmarkVerifyFullRoutingAdjacency(b *testing.B) {
 	g, err := cdag.New(bilinear.Strassen(), 3)
 	if err != nil {
@@ -535,36 +533,24 @@ func BenchmarkVerifyFullRoutingAdjacency(b *testing.B) {
 	}
 	r.AdjacencySampleStride = 1
 	g.EnsureAdjacencyIndex() // pay the one-time build outside the timer
-	for _, tc := range []struct {
-		name   string
-		linear bool
-	}{
-		{"csr", false},
-		{"linear-scan", true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			r.LinearAdjacency = tc.linear
-			var st routing.Stats
-			for i := 0; i < b.N; i++ {
-				var err error
-				st, err = r.VerifyFullRouting()
-				if err != nil {
-					b.Fatal(err)
-				}
+	b.Run("csr", func(b *testing.B) {
+		var st routing.Stats
+		for i := 0; i < b.N; i++ {
+			var err error
+			st, err = r.VerifyFullRouting()
+			if err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(st.PathsPerSecond(), "paths/s")
-		})
-	}
-	r.LinearAdjacency = false
-	r.AdjacencySampleStride = 0
+		}
+		b.ReportMetric(st.PathsPerSecond(), "paths/s")
+	})
 }
 
-// BenchmarkA10OrbitReduction measures the orbit-reduced full-routing
-// scan against full enumeration at Strassen k=4 (the ISSUE 6 headline
-// case): same bit-identical Stats, but the per-path work drops from
-// three chain constructions plus a quadratic meta-root dedup scan to
-// one chain construction plus a stamped linear walk. Run via
-// `make bench`; EXPERIMENTS.md A10 holds the measured table.
+// BenchmarkA10OrbitReduction measures the orbit kernel against the
+// full-enumeration oracle at Strassen k=4: same bit-identical Stats,
+// but per orbit the shared chains are credited once and the varying
+// chain is accumulated in member blocks. Run via `make bench`;
+// EXPERIMENTS.md A10 holds the measured table.
 func BenchmarkA10OrbitReduction(b *testing.B) {
 	g, err := cdag.New(bilinear.Strassen(), 4)
 	if err != nil {
@@ -585,97 +571,6 @@ func BenchmarkA10OrbitReduction(b *testing.B) {
 			b.Run("mode="+mode.name+"/workers="+itoa(w), func(b *testing.B) {
 				r.OrbitReduction = mode.orbits
 				defer func() { r.OrbitReduction = false }()
-				b.ReportAllocs()
-				var st routing.Stats
-				for i := 0; i < b.N; i++ {
-					var err error
-					st, err = r.VerifyFullRoutingParallel(w)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(st.PathsPerSecond(), "paths/s")
-			})
-		}
-	}
-}
-
-// BenchmarkA11StageTwoKernel compares the two orbit kernels at
-// Strassen k=4 (ISSUE 10): stage 1 rebuilds both shared chains per
-// orbit through the division-heavy AppendChain and synthesizes chain 3
-// per member; stage 2 maintains the shared chains incrementally across
-// the fixed-digit odometer (digit-local updates, no divisions) and
-// accumulates chain-3 vertices over whole member blocks with the
-// hitVec addBlock/bumpStride helpers. Stats are bit-identical
-// (TestOrbitStatsBitIdentical is the gate); this measures the
-// throughput gap. Run via `make bench`; EXPERIMENTS.md A11 holds the
-// measured table.
-func BenchmarkA11StageTwoKernel(b *testing.B) {
-	g, err := cdag.New(bilinear.Strassen(), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := routing.NewRouter(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r.OrbitReduction = true
-	defer func() { r.OrbitReduction = false }()
-	for _, kernel := range []struct {
-		name   string
-		stage1 bool
-	}{
-		{"stage1", true},
-		{"stage2", false},
-	} {
-		for _, w := range []int{1, runtime.GOMAXPROCS(0)} {
-			b.Run("kernel="+kernel.name+"/workers="+itoa(w), func(b *testing.B) {
-				r.OrbitStage1 = kernel.stage1
-				defer func() { r.OrbitStage1 = false }()
-				b.ReportAllocs()
-				var st routing.Stats
-				for i := 0; i < b.N; i++ {
-					var err error
-					st, err = r.VerifyFullRoutingParallel(w)
-					if err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(st.PathsPerSecond(), "paths/s")
-			})
-		}
-	}
-}
-
-// BenchmarkA9EnumerationKernel is the enumeration-kernel ablation: the
-// seed kernel (per-path slice/closure allocations, MetaRoot copy-edge
-// walks, map-based dedup — selected by Router.SeedEnumeration) against
-// the allocation-free scratch kernel, at 1, 2, and GOMAXPROCS workers.
-// With -benchmem the B/op and allocs/op columns show the allocation
-// storm the scratch kernel removes; on a multi-core box the worker
-// sweep shows the parallel scaling the seed kernel's allocator
-// contention destroyed. Run via `make bench` (EXPERIMENTS.md A9 holds
-// the measured table).
-func BenchmarkA9EnumerationKernel(b *testing.B) {
-	g, err := cdag.New(bilinear.Strassen(), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r, err := routing.NewRouter(g)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, kernel := range []struct {
-		name string
-		seed bool
-	}{
-		{"seed", true},
-		{"scratch", false},
-	} {
-		for _, w := range []int{1, 2, runtime.GOMAXPROCS(0)} {
-			b.Run("kernel="+kernel.name+"/workers="+itoa(w), func(b *testing.B) {
-				r.SeedEnumeration = kernel.seed
-				defer func() { r.SeedEnumeration = false }()
 				b.ReportAllocs()
 				var st routing.Stats
 				for i := 0; i < b.N; i++ {

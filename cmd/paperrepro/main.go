@@ -61,7 +61,7 @@ var (
 	dotDir     = flag.String("dotdir", "", "directory to write E12 DOT figures (default: print names only)")
 	csvDir     = flag.String("csvdir", "", "directory to also write machine-readable CSV series")
 	progress   = flag.Bool("progress", false, "print per-worker progress (stderr) during the heavy routing verifications (E3)")
-	orbits     = flag.Bool("orbits", false, "run the E3 verifications orbit-reduced (bit-identical stats, faster; -orbits=false cross-checks)")
+	orbits     = flag.Bool("orbits", true, "run the E3 verifications on the orbit kernel (bit-identical stats, faster; -orbits=false runs the full-enumeration oracle)")
 	journal    = flag.String("journal", "", "append JSONL run records for the E3 verifications to this file")
 	ckptDir    = flag.String("checkpointdir", "", "run E3 verifications through per-case checkpoint files in this directory")
 	resume     = flag.Bool("resume", false, "with -checkpointdir: skip shards already completed in existing checkpoints")

@@ -1,16 +1,22 @@
 // Command routecheck constructs the paper's routings on G_k of a
-// catalog algorithm and verifies every claimed hit-count bound,
-// printing a histogram of vertex hits.
+// catalog algorithm and verifies every claimed hit-count bound. For
+// the full routing it also prints the per-rank vertex-hit profile
+// (largest and total hits at each global rank), taken from the
+// verifier's merged hit counts.
 //
 // Usage:
 //
 //	routecheck [-alg strassen] [-k 3] [-which full|chains|decoding]
-//	           [-workers 0] [-progress] [-adjstride 0]
+//	           [-workers 0] [-orbits=true] [-progress] [-adjstride 0]
 //	           [-checkpoint run.ckpt] [-resume] [-shardrows 0] [-maxshards 0]
 //	           [-journal run.jsonl] [-debugaddr :8080] [-debughold 0]
 //	           [-heartbeat 30s] [-sample 10s] [-capturedir DIR]
 //	           [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
 //	routecheck -summarize run.jsonl
+//
+// The full routing runs on the orbit kernel by default; -orbits=false
+// runs the full enumeration instead, the independent oracle whose
+// stats the kernel must reproduce bit for bit.
 //
 // With -checkpoint, the full routing persists completed shards to the
 // given file; a killed run restarted with -resume skips them and
@@ -62,8 +68,7 @@ var (
 	workers    = flag.Int("workers", 0, "worker goroutines for the full routing (0 = GOMAXPROCS)")
 	progress   = flag.Bool("progress", false, "print per-worker progress while the full routing verifies")
 	adjStride  = flag.Int64("adjstride", 0, "verify every Nth path edge-by-edge (0 = default 257, 1 = every path)")
-	orbits     = flag.Bool("orbits", false, "full routing: collapse pair-path orbits (bit-identical stats, ~n₀ᵏ-fold less chain work; -orbits=false cross-checks)")
-	orbStage1  = flag.Bool("orbitstage1", false, "with -orbits: use the stage-1 kernel (per-orbit chain rebuilds) instead of the family-aggregated stage-2 kernel; stats are bit-identical, useful for cross-checks and perf comparison")
+	orbits     = flag.Bool("orbits", true, "full routing: collapse pair-path orbits (bit-identical stats, ~n₀ᵏ-fold less chain work; -orbits=false runs the full-enumeration oracle)")
 	checkpoint = flag.String("checkpoint", "", "persist completed shards of the full routing to this file")
 	resume     = flag.Bool("resume", false, "with -checkpoint: skip shards already completed in the checkpoint file")
 	shardRows  = flag.Int64("shardrows", 0, "with -checkpoint: enumeration rows per shard (0 = ~1M paths per shard)")
@@ -316,7 +321,6 @@ func main() {
 		}
 		r.AdjacencySampleStride = *adjStride
 		r.OrbitReduction = *orbits
-		r.OrbitStage1 = *orbStage1
 		r.Obs = routing.NewInstruments(reg)
 		r.Obs.Tracer = obs.NewTracer(jw, base)
 		var printer func(routing.Progress)
@@ -339,8 +343,7 @@ func main() {
 			fail(err)
 		}
 		fmt.Println("Lemma 4 chain-usage counts verified exact.")
-		hist := histogram(g, r)
-		printHist(hist)
+		printRanks(st.Ranks)
 	case "chains":
 		r, err := routing.NewRouter(g)
 		if err != nil {
@@ -372,8 +375,6 @@ func main() {
 }
 
 // runCheckpointed drives the sharded crash-safe verifier and exits.
-// The hit histogram is skipped here: it re-enumerates every path
-// sequentially, which defeats the point of resumable deep-k runs.
 func runCheckpointed(r *routing.Router, alg *bilinear.Algorithm, emit func(runlog.Record)) {
 	emit(runlog.Record{Event: runlog.EventRunStart, Resumed: *resume})
 	st, err := r.VerifyFullRoutingCheckpointed(*workers, routing.CheckpointConfig{
@@ -394,6 +395,7 @@ func runCheckpointed(r *routing.Router, alg *bilinear.Algorithm, emit func(runlo
 	switch {
 	case err == nil:
 		emit(finalRecord(st, *resume, false))
+		printRanks(st.Ranks)
 		fmt.Printf("%s G_%d full routing: %s\n", alg.Name, *k, st)
 		printStatsLine(st)
 		fmt.Printf("VERIFIED: max vertex hits %d ≤ bound %d; max meta-vertex hits %d ≤ bound %d\n",
@@ -456,35 +458,12 @@ func progressPrinter() func(routing.Progress) {
 	}
 }
 
-// histogram buckets vertex hit counts of the full routing by global rank.
-func histogram(g *cdag.Graph, r *routing.Router) map[int][2]int64 {
-	hits := make([]int64, g.NumVertices())
-	r.ForEachPairPath(func(_ bilinear.Side, _, _ int64, path []cdag.V) {
-		for _, v := range path {
-			hits[v]++
-		}
-	})
-	byRank := map[int][2]int64{} // rank -> {max, total}
-	for v, h := range hits {
-		rank := g.GlobalRank(cdag.V(v))
-		cur := byRank[rank]
-		if h > cur[0] {
-			cur[0] = h
-		}
-		cur[1] += h
-		byRank[rank] = cur
-	}
-	return byRank
-}
-
-func printHist(hist map[int][2]int64) {
-	ranks := make([]int, 0, len(hist))
-	for rk := range hist {
-		ranks = append(ranks, rk)
-	}
-	sort.Ints(ranks)
+// printRanks prints the full routing's per-rank vertex-hit profile:
+// the largest hit count of any vertex at each global rank, and the
+// rank's total.
+func printRanks(ranks []routing.RankLoad) {
 	fmt.Printf("%-6s %-10s %-12s\n", "rank", "maxHits", "totalHits")
-	for _, rk := range ranks {
-		fmt.Printf("%-6d %-10d %-12d\n", rk, hist[rk][0], hist[rk][1])
+	for rk, rl := range ranks {
+		fmt.Printf("%-6d %-10d %-12d\n", rk, rl.Max, rl.Total)
 	}
 }

@@ -1,9 +1,11 @@
 // Command routed is the verification-as-a-service daemon: clients
-// POST (algorithm, k, kernel, adjstride, orbits) jobs to /jobs, get a
-// job ID, poll GET /jobs/{id} or stream GET /jobs/{id}/events (SSE)
-// for live progress, and fetch the final Stats certificate. One
-// listener serves the job API next to the observability surface
-// (/metrics, /healthz, /debug/pprof).
+// POST (algorithm, k, adjstride) jobs to /jobs, get a job ID, poll
+// GET /jobs/{id} or stream GET /jobs/{id}/events (SSE) for live
+// progress, and fetch the final Stats certificate. Every job
+// runs the orbit kernel, whose certificates are bit-identical to full
+// enumeration, so one certificate has one cache entry. One listener
+// serves the job API next to the observability surface (/metrics,
+// /healthz, /debug/pprof).
 //
 // Usage:
 //
@@ -41,11 +43,12 @@
 // allocated bytes, paths/s) accumulated across crash/resume legs;
 // `routelog -resources` rebuilds the same table from the journal.
 //
-// SIGINT/SIGTERM drains gracefully: the service stops claiming shards
-// and closes SSE streams (/healthz reports "draining"), in-flight
-// HTTP requests finish, running jobs stop at the next shard boundary
-// with their checkpoints persisted, and the process exits within
-// -draintimeout.
+// SIGINT/SIGTERM drains gracefully, from the moment the process
+// starts (a signal right after the listening line is never fatal): the
+// service stops claiming shards and closes SSE streams (/healthz
+// reports "draining"), in-flight HTTP requests finish, running jobs
+// stop at the next shard boundary with their checkpoints persisted,
+// and the process exits within -draintimeout.
 //
 // -crashaftershards N is a failpoint: the process exits hard (no
 // drain, no final flush) after N shard completions — the seam
@@ -95,6 +98,10 @@ func fail(err error) {
 
 func main() {
 	flag.Parse()
+	// Catch SIGINT/SIGTERM before anything is announced: a signal that
+	// arrives during start-up waits in the channel and drains below.
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	reg := obs.NewRegistry()
 
 	var jw *runlog.Writer
@@ -171,8 +178,6 @@ func main() {
 	s.Start()
 	fmt.Fprintf(os.Stderr, "routed listening on %s\n", srv.URL())
 
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	got := <-sig
 	fmt.Fprintf(os.Stderr, "routed: %s: draining (deadline %s)\n", got, *drainTimeout)
 

@@ -215,6 +215,7 @@ func (c *Checkpoint) stats(r *Router, start time.Time) Stats {
 		TotalHits:        c.TotalHits,
 		AdjacencyChecked: c.AdjChecked,
 		MaxVertexHits:    hitVec(c.Hits).max(),
+		Ranks:            r.rankProfile(c.Hits),
 	}
 	for _, h := range c.MetaHits {
 		if h > st.MaxMetaHits {
@@ -371,12 +372,8 @@ func (r *Router) VerifyFullRoutingCheckpointed(workers int, cfg CheckpointConfig
 		st := cp.stats(r, start)
 		return st, r.checkFullRoutingBounds(st)
 	}
-	if !r.LinearAdjacency {
-		r.G.EnsureAdjacencyIndex() // build once, before the fan-out
-	}
-	if !r.SeedEnumeration {
-		r.G.EnsureMetaRootIndex() // likewise; seed kernel walks instead
-	}
+	r.G.EnsureAdjacencyIndex() // build once, before the fan-out
+	r.G.EnsureMetaRootIndex()
 
 	flushEvery := cfg.FlushEvery
 	if flushEvery <= 0 {

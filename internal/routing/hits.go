@@ -31,7 +31,7 @@ func (h hitVec) add(v cdag.V, n int64) int64 {
 }
 
 // addBlock adds n to count consecutive counters starting at v — the
-// contiguous-progression form the stage-2 orbit kernel uses to credit
+// contiguous-progression form the orbit kernel uses to credit
 // the rank-j chain vertices of a whole member block at once (the
 // members' vertex IDs form an arithmetic progression; stride 1 on the
 // side whose free output digit is the units part). The reslice hoists

@@ -25,14 +25,6 @@ import (
 	"pathrouting/internal/rat"
 )
 
-// Kernel names accepted by JobConfig and CacheKey: the allocation-free
-// scratch kernel (the default) and the seed kernel kept as the A9
-// ablation baseline.
-const (
-	KernelScratch = "scratch"
-	KernelSeed    = "seed"
-)
-
 // JobConfig is one full-routing verification job: everything a
 // service request specifies, plus the run-local plumbing (checkpoint
 // path, callbacks, stop channel) its executor wires in.
@@ -47,13 +39,6 @@ type JobConfig struct {
 	// AdjStride samples every Nth path for edge-by-edge adjacency
 	// verification (0 = the engine default, 1 = every path).
 	AdjStride int64
-	// Kernel selects the enumeration kernel: KernelScratch (default,
-	// also for "") or KernelSeed.
-	Kernel string
-	// Orbits enables the orbit-reduced scan (bit-identical Stats,
-	// ~n₀ᵏ-fold less chain work). Ignored under KernelSeed, which
-	// keeps the seed ablation a pure baseline.
-	Orbits bool
 
 	// CheckpointPath is the job's checkpoint file (required): jobs
 	// always run checkpointed so a killed executor resumes them.
@@ -71,16 +56,12 @@ type JobConfig struct {
 	Obs      *Instruments
 }
 
-// validKernel reports whether name selects a kernel ("" = scratch).
-func validKernel(name string) bool {
-	return name == "" || name == KernelScratch || name == KernelSeed
-}
-
 // RunJob executes one verification job end to end: it builds G_k,
 // computes the base matching, and runs the checkpointed Routing
-// Theorem verifier with cfg's options. The error surface is the union
-// of construction errors, ErrPaused (stopped via cfg.Stop or an
-// executor's shard budget), and the verifier's violation errors.
+// Theorem verifier on the orbit kernel with cfg's options. The error
+// surface is the union of construction errors, ErrPaused (stopped via
+// cfg.Stop or an executor's shard budget), and the verifier's
+// violation errors.
 //
 // ctx carries the job's trace identity (obs.WithTraceContext): when
 // present, cfg.Obs is derived per job so every span, heartbeat, and
@@ -92,10 +73,6 @@ func RunJob(ctx context.Context, cfg JobConfig) (Stats, error) {
 	if cfg.Alg == nil {
 		return Stats{}, fmt.Errorf("routing: job has no algorithm")
 	}
-	if !validKernel(cfg.Kernel) {
-		return Stats{}, fmt.Errorf("routing: unknown kernel %q (want %q or %q)",
-			cfg.Kernel, KernelScratch, KernelSeed)
-	}
 	in := cfg.Obs
 	if tc := obs.TraceContextFrom(ctx); !tc.IsZero() {
 		in = in.WithJob(tc)
@@ -103,11 +80,6 @@ func RunJob(ctx context.Context, cfg JobConfig) (Stats, error) {
 	span := in.startSpan("job_run")
 	span.SetAttr("alg", cfg.Alg.Name)
 	span.SetAttr("k", strconv.Itoa(cfg.K))
-	kernel := cfg.Kernel
-	if kernel == "" {
-		kernel = KernelScratch
-	}
-	span.SetAttr("kernel", kernel)
 	// Cost attribution: snapshot cumulative process CPU and allocation
 	// before the run so the span (and the serving layer, via the same
 	// deltas) can report what this leg of the job cost. Process-wide
@@ -130,8 +102,7 @@ func RunJob(ctx context.Context, cfg JobConfig) (Stats, error) {
 		return Stats{}, err
 	}
 	r.AdjacencySampleStride = cfg.AdjStride
-	r.SeedEnumeration = cfg.Kernel == KernelSeed
-	r.OrbitReduction = cfg.Orbits
+	r.OrbitReduction = true
 	r.Progress = cfg.Progress
 	r.Obs = in
 	stats, err := r.VerifyFullRoutingCheckpointed(cfg.Workers, CheckpointConfig{
@@ -180,28 +151,21 @@ func AlgorithmHash(alg *bilinear.Algorithm) string {
 // CacheKey returns the content-addressed result-cache key of a job:
 // equal keys guarantee bit-identical Stats certificates, because the
 // key covers everything the deterministic verifier's output depends
-// on — the algorithm's coefficients, k, the kernel, the effective
-// adjacency stride (0 normalizes to the engine default, so "default"
-// and "explicit 257" collide as they should), and the orbit flag
-// (normalized off under the seed kernel, which ignores it). Shard
-// geometry, worker count, and resume history are excluded: they
-// cannot change the certificate.
-func CacheKey(alg *bilinear.Algorithm, k int, kernel string, adjStride int64, orbits bool) string {
+// on — the algorithm's coefficients, k, and the effective adjacency
+// stride (0 normalizes to the engine default, so "default" and
+// "explicit 257" collide as they should). Shard geometry, worker
+// count, resume history, and the scan kernel are excluded: they cannot
+// change the certificate.
+func CacheKey(alg *bilinear.Algorithm, k int, adjStride int64) string {
 	if adjStride <= 0 {
 		adjStride = defaultAdjacencyStride
 	}
-	if kernel == "" {
-		kernel = KernelScratch
-	}
-	if kernel == KernelSeed {
-		orbits = false // SeedEnumeration takes precedence in the Router
-	}
-	sum := sha256.Sum256([]byte(fmt.Sprintf("job alg=%s k=%d kernel=%s adjstride=%d orbits=%t",
-		AlgorithmHash(alg), k, kernel, adjStride, orbits)))
+	sum := sha256.Sum256([]byte(fmt.Sprintf("job alg=%s k=%d adjstride=%d",
+		AlgorithmHash(alg), k, adjStride)))
 	return hex.EncodeToString(sum[:])
 }
 
 // CacheKey returns cfg's content-addressed result-cache key.
 func (cfg JobConfig) CacheKey() string {
-	return CacheKey(cfg.Alg, cfg.K, cfg.Kernel, cfg.AdjStride, cfg.Orbits)
+	return CacheKey(cfg.Alg, cfg.K, cfg.AdjStride)
 }

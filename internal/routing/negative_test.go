@@ -5,6 +5,8 @@ package routing
 // verifies nothing; these tests pin the rejection behaviour.
 
 import (
+	"slices"
+	"strings"
 	"testing"
 
 	"pathrouting/internal/bilinear"
@@ -103,5 +105,29 @@ func TestSection8CheckerRejectsImpossibleBound(t *testing.T) {
 	}
 	if st.MaxMetaHits < 4 {
 		t.Errorf("suspiciously low class load %d", st.MaxMetaHits)
+	}
+}
+
+// TestRankInvariantRejectsTamperedProfile: the whole-run rank
+// invariants hold on a real run and reject a profile that moved one
+// hit, whether in a rank total or in the overall hit count.
+func TestRankInvariantRejectsTamperedProfile(t *testing.T) {
+	r := mustRouter(t, bilinear.Strassen(), 2)
+	st, err := r.VerifyFullRouting()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tampered := st
+	tampered.Ranks = slices.Clone(st.Ranks)
+	tampered.Ranks[3].Total++
+	err = r.checkFullRoutingBounds(tampered)
+	if err == nil || !strings.Contains(err.Error(), "rank invariant violated: rank 3 total") {
+		t.Fatalf("tampered rank total: err = %v", err)
+	}
+	tampered = st
+	tampered.TotalHits++
+	err = r.checkFullRoutingBounds(tampered)
+	if err == nil || !strings.Contains(err.Error(), "rank invariant violated: rank totals sum") {
+		t.Fatalf("tampered total hits: err = %v", err)
 	}
 }

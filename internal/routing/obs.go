@@ -41,11 +41,11 @@ type Instruments struct {
 	// scan (zero for full enumeration). A complete orbit-reduced run over
 	// G_k collapses 2aᵏn₀ᵏ orbits of n₀ᵏ paths each.
 	OrbitGroups *obs.Counter
-	// OrbitFamilies counts the shared-chain families the stage-2 orbit
-	// kernel aggregates over — one per (side, input) row, each covering
-	// the row's n₀ᵏ orbits through incremental chain maintenance (zero
-	// for full enumeration and for the stage-1 orbit kernel). The
-	// groups-to-families ratio is the aggregation fan-in.
+	// OrbitFamilies counts the shared-chain families the orbit kernel
+	// aggregates over — one per (side, input) row, each covering the
+	// row's n₀ᵏ orbits through incremental chain maintenance (zero for
+	// full enumeration). The groups-to-families ratio is the
+	// aggregation fan-in.
 	OrbitFamilies *obs.Counter
 	// CheckpointFsync and CheckpointRename split checkpoint-persist
 	// latency into its durability halves (encode+fsync vs rename).
@@ -86,7 +86,7 @@ func NewInstruments(reg *obs.Registry) *Instruments {
 		OrbitGroups: reg.Counter("routing_orbit_groups_total",
 			"pair-path orbits collapsed by the orbit-reduced scan"),
 		OrbitFamilies: reg.Counter("routing_orbit_families_total",
-			"shared-chain families aggregated by the stage-2 orbit kernel"),
+			"shared-chain families aggregated by the orbit kernel"),
 		CheckpointFsync: reg.Histogram("routing_checkpoint_fsync_seconds",
 			"checkpoint encode+fsync latency", obs.LatencyBuckets),
 		CheckpointRename: reg.Histogram("routing_checkpoint_rename_seconds",
@@ -165,9 +165,7 @@ func (in *Instruments) flushScan(pathsDelta, adjDelta, peak int64) {
 
 // flushOrbit folds a worker's since-last-flush orbit-group and
 // shared-chain-family deltas into the metrics; called at the same
-// snapshot cadence as flushScan. The stage-1 kernel always passes a
-// zero family delta — it rebuilds the shared chains per orbit rather
-// than aggregating them per row.
+// snapshot cadence as flushScan.
 func (in *Instruments) flushOrbit(groupsDelta, familiesDelta int64) {
 	if in == nil {
 		return

@@ -1,69 +1,66 @@
 package routing
 
-// Stage-2 orbit kernel: family aggregation of the shared chains plus
-// blocked accumulation of the varying chain. Stage 1 (orbit.go) already
-// collapses each n₀ᵏ-path orbit into one weighted credit of chains 1
-// and 2 plus a per-member walk of chain 3; this kernel removes the two
-// costs stage 1 left on the table.
+// The orbit kernel behind Router.OrbitReduction: it collapses the
+// aᵏ-fold redundancy of pair-path enumeration with Stats bit-identical
+// to the full-enumeration oracle (scanRows) at any k and worker count.
 //
-// Family aggregation. Within one (side, input) row — a *family* of n₀ᵏ
-// orbits — chain 1 depends only on (input, fixed output digits) and
-// chain 2 only on (junction, fixed output digits), and the junction is
-// itself a function of the input and the fixed digits. Both chains are
-// therefore determined slot-wise by the very digits the fixed-digit
-// odometer steps through, so instead of rebuilding them per orbit with
-// AppendChain (6k divisions per chain), the kernel maintains their
-// matched product digits, packed prefixes, and endpoint suffixes
-// incrementally across the odometer — digit-local updates on carry,
-// exactly how stage 1 already maintains chain 3 per member — and
-// *synthesizes* each chain vertex as layerBase + prefix·aᵏ⁻ʲ + suffix.
-// No divisions survive on the per-orbit path.
+// Orbits. A Lemma 4 pair path for (side A, input a_ij, output c_i′j′)
+// composes three guaranteed-dependence chains
 //
-// Blocked accumulation. The varying chain's product digits depend on
-// the free output digits; the last free digit only enters product
-// digit k. Fixing the leading k−1 free digits (a *block* of n₀
-// members) therefore freezes encoding ranks 1..k−1 and every decoding
-// prefix t₁..t_{k−j} with j ≥ 1, so per block:
+//	a_ij → c_ij′   (chain 1),   b_jj′ → c_ij′  (chain 2, reversed),
+//	b_jj′ → c_i′j′ (chain 3),
 //
-//   - encoding ranks 1..k−1 are block-constant vertices, credited once
-//     with weight n₀;
-//   - the rank-j decoding vertices of the block's members form an
-//     arithmetic progression in vertex ID (consecutive members differ
-//     only in the last output digit, stride 1 or n₀ depending on which
-//     coordinate the side frees), accumulated by hitVec.addBlock /
-//     bumpStride — bounds-check-free strided adds;
-//   - only the rank-k encoding vertex and the product vertex remain
-//     per-member scalar work: one match-table lookup and two bumps.
+// and chains 1 and 2 do not depend on the output row multi-index i′.
+// The n₀ᵏ paths of a (side, input) row that share the output column
+// multi-index j′ — an *orbit* — therefore share chains 1 and 2
+// pointwise; only chain 3 varies. The B-side mirror fixes i′ and frees
+// j′. The chain construction is slot-wise, so a coordinate in no slot
+// of a chain's definition cannot change it. A row's n₀ᵏ orbits form a
+// *family*. Exactness against scanRows, field by field:
 //
-// Meta-vertex hits follow the same split. Decoding vertices are their
-// own roots, so the progression's meta credit is the same strided add,
-// corrected by subtracting the members whose rank-j vertex was already
-// credited by this orbit's shared chains — those are exactly the
-// stamped candidates d1[j] (and d2[j] below rank k), each a single
-// membership test against the progression. The block-constant encoding
-// roots use the stamp test once per block; the rank-k encoding root
-// keeps stage 1's consecutive-root dedup against the rank-(k−1) root,
-// and a product's root is stamped iff it is one of the two shared-chain
-// products, a two-comparison test. The accumulated sums are therefore
-// bit-identical to stage 1 — same vertices, same weights, same
-// per-orbit stamped set — which TestOrbitStatsBitIdentical and
-// FuzzOrbitStatsEquivalence pin against full enumeration.
+//   - NumPaths, TotalHits: every member is counted once, and a valid
+//     path has 3(2k+2)-2 vertices.
+//   - Vertex hits: a path bumps c1, c2 minus its final junction, and
+//     c3 minus its leading junction. Hits are additive, so crediting
+//     the shared part once with weight n₀ᵏ and c3 per member is the
+//     same sum — also for members whose c3 retraces c2 (mid = out),
+//     which both parts touch, as the full scan does on that path.
+//   - Meta-vertex hits: a path credits each distinct meta root once.
+//     Roots of c1 ∪ c2 are credited with weight n₀ᵏ and stamped with
+//     the orbit's serial; roots of c3 are credited per member unless
+//     stamped. Within a chain equal roots are consecutive (a rank-j
+//     encoding vertex roots to the vertex at its last non-trivial rank
+//     ≤ j, monotone in j; decoding vertices are their own roots), so
+//     one previous-root comparison dedups c3.
+//   - AdjacencyChecked: the same positions idx % stride == 0 of the
+//     sequential order are sampled, materialized through the same
+//     appendPairPath kernel, and checked edge by edge.
 //
-// Adjacency sampling is unchanged in distribution and in kind: the
-// same positions idx % stride == 0 of the sequential enumeration order
-// are selected (tracked additively per member, no per-member modulo),
-// and each sampled path is materialized through the same appendPairPath
-// kernel and checked edge by edge. The shared-chain length/endpoint
-// checks of stage 1 are not re-checked here: on synthesized chains they
-// are tautologies (the synthesis *is* the definition AppendChain
-// implements), and corruption of the matching is still caught by the
-// sampled edge checks, as the corrupt-matching tests verify for both
-// kernels.
+// Family aggregation. Chains 1 and 2 are functions of the input and
+// the fixed output digits, so their matched product digits, packed
+// prefixes, and endpoint suffixes are maintained incrementally across
+// the fixed-digit odometer (digit-local updates on carry), and each
+// vertex is synthesized as layerBase + prefix·aᵏ⁻ʲ + suffix: no
+// AppendChain and no divisions per orbit. Length and endpoint checks
+// of synthesized chains would be tautologies; a corrupt matching is
+// caught by the sampled edge checks (TestOrbitRejectsCorruptMatching).
 //
-// Stage 1 remains available behind Router.OrbitStage1 as the A11
-// ablation baseline; checkpoints written by either kernel (or by full
-// enumeration) resume under any other, because shard contributions are
-// bit-identical.
+// Blocked accumulation. The last free output digit only enters chain
+// 3's product digit k, so a *block* of n₀ members sharing the leading
+// k−1 free digits has block-constant encoding ranks 1..k−1 (credited
+// once with weight n₀), rank-j decoding vertices in an arithmetic
+// progression of stride 1 or n₀ (hitVec.addBlock / bumpStride), and
+// only the rank-k encoding vertex and the product as per-member work.
+// Meta hits split the same way: the progression's credit is the same
+// strided add minus the members that hit a stamped shared-chain
+// decoding vertex d1[j] or d2[j] (one membership test each); the
+// rank-k encoding root keeps the consecutive-root dedup, and a product
+// is stamped iff it is one of the two shared-chain products.
+//
+// Checkpoint shards (whole rows) therefore receive bit-identical
+// contributions in either mode and resume under the other. On a
+// corrupted routing both modes reject, but the first error reported
+// can differ: the orbit scan visits a row's paths grouped by orbit.
 
 import (
 	"fmt"
@@ -75,9 +72,9 @@ import (
 	"pathrouting/internal/cdag"
 )
 
-// scanRowsOrbit2 is scanRowsOrbit with family-aggregated shared chains
-// and blocked member accumulation: same row ranges, same accumulators,
-// same emit cadence, bit-identical statistics.
+// scanRowsOrbit2 is scanRows with orbit reduction, family-aggregated
+// shared chains, and blocked member accumulation: same row ranges, same
+// accumulators, bit-identical statistics.
 func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr *atomic.Int64, out *workerState) {
 	g := r.G
 	k := r.k
@@ -98,8 +95,11 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 	var orbits, flushedOrbits int64
 	var families, flushedFamilies int64
 	emit := func(final bool) {
-		// Peak recomputed from the accumulator at snapshot cadence (see
-		// the stage-1 emit for why this is exact).
+		// The running peak is recomputed from the accumulator here, at
+		// snapshot cadence, instead of per bump on the hot path: hit
+		// counts only grow, so the maximum at emit time is exact, and
+		// only Progress/metrics read out.peak (the final Stats maximum
+		// comes from the merged vectors).
 		out.peak = out.hits.max()
 		r.Obs.flushScan(out.numPaths-flushedPaths, out.adjChecked-flushedAdj, out.peak)
 		r.Obs.flushOrbit(orbits-flushedOrbits, families-flushedFamilies)
@@ -142,8 +142,10 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 	d1, d2 := cut(k+1), cut(k+1)
 	enc1Base, enc3Base, decBase := cut(k+1), cut(k+1), cut(k+1)
 
-	// stamp/serial: the stage-1 epoch-stamped "already counted for every
-	// member of this orbit" membership test, unchanged.
+	// stamp[root] holds the serial of the last orbit whose shared chains
+	// credited root: the O(1) "already counted for every member of this
+	// orbit" test. Serial 0 is never used, so the zeroed vector starts
+	// clean.
 	stamp := make([]int64, g.NumVertices())
 	var serial int64
 	credit := func(v cdag.V) {
@@ -162,10 +164,10 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 		side, in := r.rowOf(row)
 		ps.setIn(r, in)
 		families++
-		// Orbit geometry as in stage 1: side A fixes the output column
-		// digits (unit scale in the packed digit) and frees the row
-		// digits (·n₀); side B the mirror image. Chain 1 lives in the
-		// side's encoding graph, chains 2 and 3 in the other side's.
+		// Orbit geometry: side A fixes the output column digits (unit
+		// scale in the packed digit) and frees the row digits (·n₀);
+		// side B the mirror image. Chain 1 lives in the side's encoding
+		// graph, chains 2 and 3 in the other side's.
 		fixedD, freeD := ps.ojD, ps.oiD
 		fixedScale, freeScale := int64(1), n0
 		kind1, match1 := cdag.EncA, r.BM.matchA
@@ -283,8 +285,8 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 			for {
 				// Block-constant encoding ranks 1..k-1, weight n₀ each;
 				// rPrev ends as the rank-(k-1) root for the per-member
-				// consecutive-root dedup (V(-1) when k = 1, the stage-1
-				// sentinel).
+				// consecutive-root dedup (V(-1) when k = 1: no rank below
+				// k to repeat).
 				rPrev := cdag.V(-1)
 				for j := 1; j < k; j++ {
 					v := cdag.V(enc3Base[j] + t3Pre[j]*r.powA[k-j] + jcSuf[k-j])
@@ -355,7 +357,7 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 							return
 						}
 						for x := 0; x+1 < len(full); x++ {
-							if !r.adjacent(full[x], full[x+1]) {
+							if !g.Adjacent(full[x], full[x+1]) {
 								out.fail(row*aK+outIdx, fmt.Errorf("routing: pair path (side %v, in %d, out %d): not connected at %s -- %s",
 									side, in, outIdx, g.Label(full[x]), g.Label(full[x+1])), earliestErr)
 								return
@@ -393,7 +395,10 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 					t3Pre[j] = t3Pre[j-1]*r.b + t3Dig[j-1]
 				}
 			}
-			// Snapshot cadence at orbit granularity (see stage 1).
+			// Snapshot cadence at orbit granularity: an orbit is n₀ᵏ
+			// paths, far below progressChunk, so checking here (and
+			// reading the clock behind the time floor) instead of per
+			// member moves the cadence by at most one orbit.
 			if observing && (out.numPaths >= nextEmit ||
 				(orbits&progressClockMask == 0 && time.Since(lastEmit) >= progressTimeFloor)) {
 				emit(false)

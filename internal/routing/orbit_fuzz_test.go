@@ -4,9 +4,8 @@ package routing
 // suite: where TestOrbitStatsBitIdentical sweeps the fixed catalog,
 // this draws algorithms from the symmetry orbit of Strassen's (fresh
 // coefficient structure and copying patterns every seed) and asserts
-// that full enumeration, the stage-1 orbit kernel, and the stage-2
-// orbit kernel produce bit-identical Stats across depths, worker
-// counts, and adjacency sample strides. Under plain `go test` only the
+// that full enumeration and the orbit kernel produce bit-identical
+// Stats across depths, worker counts, and adjacency sample strides. Under plain `go test` only the
 // seed corpus runs; `go test -fuzz=FuzzOrbitStatsEquivalence` explores
 // further.
 
@@ -45,25 +44,20 @@ func FuzzOrbitStatsEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("full: %v", err)
 		}
-		want.Elapsed = 0
-		for _, stage := range orbitStages() {
-			ro := orbitRouter(t, r, stage.stage1)
-			got, err := ro.VerifyFullRouting()
-			if err != nil {
-				t.Fatalf("%s seq: %v", stage.name, err)
-			}
-			got.Elapsed = 0
-			if got != want {
-				t.Fatalf("%s sequential (k=%d stride=%d):\norbit %+v\nfull  %+v", stage.name, k, stride, got, want)
-			}
-			par, err := ro.VerifyFullRoutingParallel(workers)
-			if err != nil {
-				t.Fatalf("%s workers=%d: %v", stage.name, workers, err)
-			}
-			par.Elapsed = 0
-			if par != want {
-				t.Fatalf("%s workers=%d (k=%d stride=%d):\norbit %+v\nfull  %+v", stage.name, workers, k, stride, par, want)
-			}
+		ro := orbitRouter(t, r)
+		got, err := ro.VerifyFullRouting()
+		if err != nil {
+			t.Fatalf("orbit seq: %v", err)
+		}
+		if !sameStats(got, want) {
+			t.Fatalf("sequential (k=%d stride=%d):\norbit %+v\nfull  %+v", k, stride, got, want)
+		}
+		par, err := ro.VerifyFullRoutingParallel(workers)
+		if err != nil {
+			t.Fatalf("orbit workers=%d: %v", workers, err)
+		}
+		if !sameStats(par, want) {
+			t.Fatalf("workers=%d (k=%d stride=%d):\norbit %+v\nfull  %+v", workers, k, stride, par, want)
 		}
 	})
 }

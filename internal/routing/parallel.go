@@ -146,13 +146,12 @@ func (r *Router) adjStride() int64 {
 // vertex and per meta-vertex. It is the shared core of the plain
 // workers and of the checkpoint shards.
 //
-// The loop is allocation-free in steady state: one pathScratch per
-// call carries the digit odometer and chain buffer, meta roots come
-// from the dense precomputed table, and per-path root dedup is a
-// linear scan of a fixed-size array (a path has 3(2k+2)-2 vertices, so
-// at most that many distinct roots). Router.SeedEnumeration restores
-// the original kernel — per-path slice/closure allocations, MetaRoot
-// copy-edge walks, and map-based dedup — for the A9 ablation.
+// It is the full-enumeration oracle the orbit kernel is checked
+// against. The loop is allocation-free in steady state: one
+// pathScratch per call carries the digit odometer and chain buffer,
+// meta roots come from the dense precomputed table, and per-path root
+// dedup is a linear scan of a fixed-size array (a path has 3(2k+2)-2
+// vertices, so at most that many distinct roots).
 func (r *Router) scanRows(w, workers int, rowLo, rowHi int64, earliestErr *atomic.Int64, out *workerState) {
 	g := r.G
 	aK := r.powA[r.k]
@@ -186,13 +185,7 @@ func (r *Router) scanRows(w, workers int, rowLo, rowHi int64, earliestErr *atomi
 
 	var buf []cdag.V
 	ps := r.newPathScratch()
-	var metaRoots []cdag.V            // dense table (scratch kernel)
-	var seedRoots map[cdag.V]struct{} // per-path map dedup (seed kernel)
-	if r.SeedEnumeration {
-		seedRoots = make(map[cdag.V]struct{}, 16)
-	} else {
-		metaRoots = g.MetaRoots()
-	}
+	metaRoots := g.MetaRoots()
 	for row := rowLo; row < rowHi; row++ {
 		// Cooperative cancellation: an error published at a position
 		// before everything left in this worker's scan makes the
@@ -207,11 +200,7 @@ func (r *Router) scanRows(w, workers int, rowLo, rowHi int64, earliestErr *atomi
 			if outIdx != 0 {
 				ps.advanceOut(r)
 			}
-			if r.SeedEnumeration {
-				buf = r.seedPairPath(side, in, outIdx, buf[:0])
-			} else {
-				buf = r.appendPairPath(ps, side, in, outIdx, buf[:0])
-			}
+			buf = r.appendPairPath(ps, side, in, outIdx, buf[:0])
 			idx := row*aK + outIdx
 			out.numPaths++
 			out.totalHits += int64(len(buf))
@@ -232,41 +221,30 @@ func (r *Router) scanRows(w, workers int, rowLo, rowHi int64, earliestErr *atomi
 			if idx%stride == 0 {
 				out.adjChecked++
 				for i := 0; i+1 < len(buf); i++ {
-					if !r.adjacent(buf[i], buf[i+1]) {
+					if !g.Adjacent(buf[i], buf[i+1]) {
 						out.fail(idx, fmt.Errorf("routing: pair path (side %v, in %d, out %d): not connected at %s -- %s",
 							side, in, outIdx, g.Label(buf[i]), g.Label(buf[i+1])), earliestErr)
 						return
 					}
 				}
 			}
-			if r.SeedEnumeration {
-				clear(seedRoots)
-				for _, v := range buf {
-					out.peak = max(out.peak, out.hits.bump(v))
-					seedRoots[g.MetaRoot(v)] = struct{}{}
-				}
-				for root := range seedRoots {
-					out.metaHits[root]++
-				}
-			} else {
-				roots := ps.roots[:0]
-				for _, v := range buf {
-					out.peak = max(out.peak, out.hits.bump(v))
-					root := metaRoots[v]
-					seen := false
-					for _, s := range roots {
-						if s == root {
-							seen = true
-							break
-						}
-					}
-					if !seen {
-						roots = append(roots, root)
+			roots := ps.roots[:0]
+			for _, v := range buf {
+				out.peak = max(out.peak, out.hits.bump(v))
+				root := metaRoots[v]
+				seen := false
+				for _, s := range roots {
+					if s == root {
+						seen = true
+						break
 					}
 				}
-				for _, root := range roots {
-					out.metaHits[root]++
+				if !seen {
+					roots = append(roots, root)
 				}
+			}
+			for _, root := range roots {
+				out.metaHits[root]++
 			}
 			if observing && (out.numPaths >= nextEmit ||
 				(out.numPaths&progressClockMask == 0 && time.Since(lastEmit) >= progressTimeFloor)) {
@@ -287,12 +265,8 @@ func (r *Router) scanRange(w, workers int, rowLo, rowHi int64, earliestErr *atom
 		defer in.ShardEnumerate.ObserveSince(time.Now())
 	}
 	pprof.Do(context.Background(), pprof.Labels("worker", strconv.Itoa(w)), func(context.Context) {
-		if r.OrbitReduction && !r.SeedEnumeration {
-			if r.OrbitStage1 {
-				r.scanRowsOrbit(w, workers, rowLo, rowHi, earliestErr, out)
-			} else {
-				r.scanRowsOrbit2(w, workers, rowLo, rowHi, earliestErr, out)
-			}
+		if r.OrbitReduction {
+			r.scanRowsOrbit2(w, workers, rowLo, rowHi, earliestErr, out)
 		} else {
 			r.scanRows(w, workers, rowLo, rowHi, earliestErr, out)
 		}
@@ -309,12 +283,8 @@ func (r *Router) verifyFullRouting(workers int) (Stats, error) {
 	if workers < 1 {
 		workers = 1
 	}
-	if !r.LinearAdjacency {
-		r.G.EnsureAdjacencyIndex() // build once, before the fan-out
-	}
-	if !r.SeedEnumeration {
-		r.G.EnsureMetaRootIndex() // likewise; seed kernel walks instead
-	}
+	r.G.EnsureAdjacencyIndex() // build once, before the fan-out
+	r.G.EnsureMetaRootIndex()
 	outs := make([]workerState, workers)
 	var earliestErr atomic.Int64
 	earliestErr.Store(math.MaxInt64)
@@ -372,6 +342,7 @@ func (r *Router) finalizeFullRouting(start time.Time, outs []workerState) (Stats
 		hits.merge(outs[i].hits)
 		metaHits.merge(outs[i].metaHits)
 	}
+	st.Ranks = r.rankProfile(hits)
 	st.MaxVertexHits = hits.max()
 	st.MaxMetaHits = metaHits.max()
 	st.Elapsed = time.Since(start)
@@ -379,16 +350,43 @@ func (r *Router) finalizeFullRouting(start time.Time, outs []workerState) (Stats
 }
 
 // checkFullRoutingBounds verifies the Routing Theorem's 6aᵏ bounds on
-// fully merged stats; shared by the plain and checkpointed finalizers
-// so both report identical violations.
+// fully merged stats, then the whole-run rank invariants of the Lemma
+// 4 composition; shared by the plain and checkpointed finalizers so
+// both report identical violations.
+//
+// Every path is c1, reversed c2 minus its output junction, and c3
+// minus its input junction, and each chain has one vertex per global
+// rank 0..2k+1. So c1 covers every rank, c2 ranks 0..2k, and c3 ranks
+// 1..2k+1: each path puts exactly 2 hits on ranks 0 and 2k+1 and 3 on
+// every other rank. The rank totals must also sum to TotalHits, and
+// the largest rank maximum must be MaxVertexHits. These checks hold
+// at any k, past the reach of the full-enumeration oracle.
 func (r *Router) checkFullRoutingBounds(st Stats) error {
+	name := r.G.Alg.Name
 	if st.MaxVertexHits > st.Bound {
 		return fmt.Errorf("routing: %s G_%d: Routing Theorem violated: vertex hit %d > 6aᵏ = %d",
-			r.G.Alg.Name, r.k, st.MaxVertexHits, st.Bound)
+			name, r.k, st.MaxVertexHits, st.Bound)
 	}
 	if st.MaxMetaHits > st.Bound {
 		return fmt.Errorf("routing: %s G_%d: Routing Theorem violated: meta-vertex hit %d > 6aᵏ = %d",
-			r.G.Alg.Name, r.k, st.MaxMetaHits, st.Bound)
+			name, r.k, st.MaxMetaHits, st.Bound)
+	}
+	var sum, peak int64
+	for rank, rl := range st.Ranks {
+		want := 3 * st.NumPaths
+		if rank == 0 || rank == 2*r.k+1 {
+			want = 2 * st.NumPaths
+		}
+		if rl.Total != want {
+			return fmt.Errorf("routing: %s G_%d: rank invariant violated: rank %d total %d, want %d",
+				name, r.k, rank, rl.Total, want)
+		}
+		sum += rl.Total
+		peak = max(peak, rl.Max)
+	}
+	if sum != st.TotalHits || peak != st.MaxVertexHits {
+		return fmt.Errorf("routing: %s G_%d: rank invariant violated: rank totals sum to %d (TotalHits %d), max %d (MaxVertexHits %d)",
+			name, r.k, sum, st.TotalHits, peak, st.MaxVertexHits)
 	}
 	return nil
 }

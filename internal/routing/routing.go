@@ -179,37 +179,15 @@ type Router struct {
 	// parallel runs check the same sample. 0 means the default stride
 	// (257); 1 verifies the adjacency of every path.
 	AdjacencySampleStride int64
-	// LinearAdjacency disables the CSR adjacency index and answers
-	// adjacency checks with the legacy per-edge linear scan. It exists
-	// so benchmarks can measure the index against the baseline.
-	LinearAdjacency bool
-	// SeedEnumeration makes the full-routing verifiers enumerate pair
-	// paths with the seed kernel (seedPairPath: fresh digit slices and
-	// chain buffers per path) instead of the allocation-free scratch
-	// kernel. It exists so the A9 ablation and the golden equivalence
-	// tests can measure the scratch kernel against the baseline.
-	SeedEnumeration bool
-	// OrbitReduction makes the full-routing verifiers collapse each
+	// OrbitReduction selects the orbit kernel (orbit2.go): each
 	// pair-path orbit — the n₀ᵏ paths sharing a (side, input) row and the
 	// fixed output coordinate, on which two of the three Lemma 4 chains
-	// are pointwise constant — into one weighted accumulation of the
-	// shared chains plus a per-path scan of the varying chain only. The
-	// resulting Stats are bit-identical to full enumeration at any k (see
-	// orbit.go for the exactness argument); only wall-clock time changes.
-	// SeedEnumeration takes precedence when both are set, keeping the
-	// seed ablation a pure baseline.
+	// are pointwise constant — is credited as one weighted accumulation
+	// of the shared chains plus a blocked scan of the varying chain.
+	// Stats are bit-identical to full enumeration at any k; only
+	// wall-clock time changes. Left false, the verifiers run the full
+	// enumeration, the independent oracle the kernel is checked against.
 	OrbitReduction bool
-	// OrbitStage1 restores the stage-1 orbit kernel — shared chains
-	// rebuilt per orbit through the division-heavy AppendChain and the
-	// varying chain accumulated one vertex at a time — instead of the
-	// stage-2 kernel (family-aggregated incremental chain maintenance
-	// with blocked rank-by-rank hit accumulation; see orbit2.go). It
-	// exists so the A11 ablation and the equivalence tests can measure
-	// stage 2 against the stage-1 baseline. Ignored unless
-	// OrbitReduction is set; Stats are bit-identical either way, so —
-	// like the worker count — the flag is excluded from job cache
-	// identity (see CacheKey).
-	OrbitStage1 bool
 	// Progress, when non-nil, receives periodic Progress snapshots from
 	// VerifyFullRouting and VerifyFullRoutingParallel. It is called
 	// concurrently from all workers and must be safe for concurrent use.
@@ -254,9 +232,6 @@ func NewRouterWithMatching(g *cdag.Graph, bm *BaseMatching) (*Router, error) {
 	}
 	return r, nil
 }
-
-// K returns the recursion depth of the routed graph.
-func (r *Router) K() int { return r.k }
 
 // GuaranteedA reports whether input multi-index in (of A) and output
 // multi-index out form a guaranteed dependency: equal row digits in
@@ -335,12 +310,9 @@ func (r *Router) AppendChain(side bilinear.Side, in, out int64, buf []cdag.V) ([
 }
 
 // pathScratch is the reusable per-worker state of pair-path
-// enumeration. The seed kernel heap-allocated four digit slices, a
-// closure, and three chain slices for every path — millions of paths
-// of GC pressure and allocator contention serializing the parallel
-// workers — so everything per-path now lives here, allocated once per
-// worker: steady-state enumeration performs zero allocations per path
-// (pinned by TestPairPathEnumerationZeroAllocs).
+// enumeration. Everything per-path lives here, allocated once per
+// worker, so steady-state enumeration performs zero allocations per
+// path (pinned by TestPairPathEnumerationZeroAllocs).
 //
 // A scratch is single-goroutine state: each worker makes its own with
 // newPathScratch and keeps the digit fields in sync with the pair it

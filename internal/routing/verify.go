@@ -25,11 +25,43 @@ type Stats struct {
 	// AdjacencyChecked is the number of paths whose every consecutive
 	// pair was verified adjacent in G (see Router.AdjacencySampleStride).
 	AdjacencyChecked int64
+	// Ranks is the full routing's vertex-hit profile by global rank
+	// 0..2k+1 (cdag.Graph.GlobalRank): how close each rank of the CDAG
+	// came to the bound. Set by the full-routing verifiers only.
+	Ranks []RankLoad
 	// Elapsed is the wall time of the verification pass. It is
 	// observability, not part of the verified claim: two runs over the
 	// same routing agree on every other field but not on Elapsed, so
 	// equivalence comparisons must ignore (or zero) it.
 	Elapsed time.Duration
+}
+
+// RankLoad is one global rank's share of a routing's vertex hits.
+type RankLoad struct {
+	Max   int64 // largest hit count of a vertex at this rank
+	Total int64 // hits summed over the rank's vertices
+}
+
+// rankProfile folds a merged hit vector into per-rank loads, layer by
+// layer: both encoding graphs share global ranks 0..k, and decoding
+// rank j is global rank k+1+j.
+func (r *Router) rankProfile(hits hitVec) []RankLoad {
+	g := r.G
+	ranks := make([]RankLoad, 2*r.k+2)
+	for _, kind := range []cdag.Kind{cdag.EncA, cdag.EncB, cdag.Dec} {
+		for j := 0; j <= r.k; j++ {
+			rl := &ranks[j]
+			if kind == cdag.Dec {
+				rl = &ranks[r.k+1+j]
+			}
+			base := int(g.LayerBase(kind, j))
+			for _, h := range hits[base : base+g.LayerSize(kind, j)] {
+				rl.Total += h
+				rl.Max = max(rl.Max, h)
+			}
+		}
+	}
+	return ranks
 }
 
 func (s Stats) String() string {
@@ -69,39 +101,6 @@ type Progress struct {
 	PeakVertexHits int64
 	// Final marks the worker's last snapshot.
 	Final bool
-}
-
-// checkAdjacent verifies that consecutive path vertices are joined by
-// an edge of G in either direction (routings ignore edge direction),
-// through the graph's CSR adjacency index.
-func checkAdjacent(g *cdag.Graph, u, v cdag.V) bool {
-	return g.Adjacent(u, v)
-}
-
-// checkAdjacentScan is the seed implementation of checkAdjacent: a
-// per-edge linear scan over freshly enumerated parent slices. Kept only
-// as the baseline Router.LinearAdjacency selects, so benchmarks can
-// measure what the CSR index buys.
-func checkAdjacentScan(g *cdag.Graph, u, v cdag.V) bool {
-	for _, e := range g.Parents(v) {
-		if e.To == u {
-			return true
-		}
-	}
-	for _, e := range g.Parents(u) {
-		if e.To == v {
-			return true
-		}
-	}
-	return false
-}
-
-// adjacent dispatches between the CSR index and the legacy scan.
-func (r *Router) adjacent(u, v cdag.V) bool {
-	if r.LinearAdjacency {
-		return checkAdjacentScan(r.G, u, v)
-	}
-	return checkAdjacent(r.G, u, v)
 }
 
 // checkChain verifies that the path is a chain: each vertex the parent

@@ -6,6 +6,7 @@ package routing
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -48,6 +49,14 @@ func TestHitCountersSurviveInt32Overflow(t *testing.T) {
 	}
 }
 
+// sameStats is the bit-identical equivalence gate: every Stats field —
+// counts, maxima, and the per-rank profile — must agree; only the wall
+// time Elapsed, which is observability, is ignored.
+func sameStats(a, b Stats) bool {
+	a.Elapsed, b.Elapsed = 0, 0
+	return reflect.DeepEqual(a, b)
+}
+
 // equivalenceWorkers is the worker-count table of the parallel ==
 // sequential contract: one, even, odd-and-awkward, and whatever the
 // machine has.
@@ -73,16 +82,57 @@ func TestParallelStatsBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s k=%d: %v", c.alg.Name, c.k, err)
 		}
-		seq.Elapsed = 0 // wall time is observability, not part of the contract
 		for _, w := range equivalenceWorkers() {
 			par, err := r.VerifyFullRoutingParallel(w)
 			if err != nil {
 				t.Fatalf("%s k=%d workers=%d: %v", c.alg.Name, c.k, w, err)
 			}
-			par.Elapsed = 0
-			if par != seq {
+			if !sameStats(par, seq) {
 				t.Fatalf("%s k=%d workers=%d:\nparallel   %+v\nsequential %+v",
 					c.alg.Name, c.k, w, par, seq)
+			}
+		}
+	}
+}
+
+// TestRankProfileMatchesPathHistogram pins Stats.Ranks, folded from
+// the merged hit vector, against a histogram bucketed path by path
+// through cdag's GlobalRank, for both scan modes; and checks the
+// closed form the rank invariant relies on (2 hits per path on the
+// input and output ranks, 3 on every other).
+func TestRankProfileMatchesPathHistogram(t *testing.T) {
+	for _, alg := range []*bilinear.Algorithm{bilinear.Strassen(), bilinear.Winograd()} {
+		r := mustRouter(t, alg, 2)
+		want := make([]RankLoad, 2*r.k+2)
+		hits := make([]int64, r.G.NumVertices())
+		r.ForEachPairPath(func(_ bilinear.Side, _, _ int64, path []cdag.V) {
+			for _, v := range path {
+				hits[v]++
+			}
+		})
+		for v, h := range hits {
+			rl := &want[r.G.GlobalRank(cdag.V(v))]
+			rl.Total += h
+			rl.Max = max(rl.Max, h)
+		}
+		paths := 2 * r.powA[r.k] * r.powA[r.k]
+		for rank, rl := range want {
+			perPath := int64(3)
+			if rank == 0 || rank == 2*r.k+1 {
+				perPath = 2
+			}
+			if rl.Total != perPath*paths {
+				t.Fatalf("%s rank %d: total %d, want %d·%d", alg.Name, rank, rl.Total, perPath, paths)
+			}
+		}
+		for _, orbits := range []bool{false, true} {
+			r.OrbitReduction = orbits
+			st, err := r.VerifyFullRoutingParallel(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(st.Ranks, want) {
+				t.Fatalf("%s orbits=%v: rank profile %v, path histogram %v", alg.Name, orbits, st.Ranks, want)
 			}
 		}
 	}
@@ -228,44 +278,6 @@ func TestProgressReporting(t *testing.T) {
 		t.Errorf("workers report %d paths, stats report %d", done, st.NumPaths)
 	}
 	r.Progress = nil
-}
-
-// TestLinearAdjacencyAgreesWithCSR pins the two adjacency back ends to
-// each other on every edge of sampled paths, so the benchmark knob can
-// never drift from the indexed implementation.
-func TestLinearAdjacencyAgreesWithCSR(t *testing.T) {
-	r := mustRouter(t, bilinear.Winograd(), 2)
-	g := r.G
-	checked := 0
-	r.ForEachPairPath(func(side bilinear.Side, in, out int64, path []cdag.V) {
-		if (in+out)%17 != 0 {
-			return
-		}
-		for i := 0; i+1 < len(path); i++ {
-			csr := checkAdjacent(g, path[i], path[i+1])
-			scan := checkAdjacentScan(g, path[i], path[i+1])
-			if csr != scan {
-				t.Fatalf("adjacency backends disagree on %s -- %s: csr=%v scan=%v",
-					g.Label(path[i]), g.Label(path[i+1]), csr, scan)
-			}
-			checked++
-		}
-	})
-	if checked == 0 {
-		t.Fatal("no edges checked")
-	}
-	// And on the verifier level: LinearAdjacency must not change stats.
-	st1, err1 := r.VerifyFullRouting()
-	r.LinearAdjacency = true
-	st2, err2 := r.VerifyFullRouting()
-	r.LinearAdjacency = false
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errs: %v, %v", err1, err2)
-	}
-	st1.Elapsed, st2.Elapsed = 0, 0
-	if st1 != st2 {
-		t.Fatalf("LinearAdjacency changed stats: %+v vs %+v", st1, st2)
-	}
 }
 
 // TestWorkerPartitionCoversRange checks the slice partition for worker

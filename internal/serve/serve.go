@@ -1,6 +1,6 @@
 // Package serve is the verification-as-a-service core behind cmd/routed:
-// clients submit (algorithm, k, kernel, adjstride, orbits) jobs, get a
-// job ID, poll progress, and fetch the final Stats certificate.
+// clients submit (algorithm, k, adjstride) jobs, get a job ID, poll
+// progress, and fetch the final Stats certificate.
 //
 // The paper's product is a certificate — "this routing of G_k satisfies
 // the 6aᵏ congestion bound" — and under repeated traffic the common
@@ -49,15 +49,15 @@ var (
 )
 
 // JobSpec is what a client submits: the certificate-determining
-// parameters (algorithm, k, kernel, adjstride, orbits — exactly the
-// routing.CacheKey inputs) plus shardrows, a checkpoint-granularity
-// knob that cannot change the certificate and is excluded from the key.
+// parameters (algorithm, k, adjstride — exactly the routing.CacheKey
+// inputs) plus shardrows, a checkpoint-granularity knob that cannot
+// change the certificate and is excluded from the key. Every job runs
+// the orbit kernel; the "kernel" and "orbits" fields of older clients
+// and older spec.json files are unknown fields, ignored on decode.
 type JobSpec struct {
 	Alg       string `json:"alg"`
 	K         int    `json:"k"`
-	Kernel    string `json:"kernel,omitempty"`
 	AdjStride int64  `json:"adjstride,omitempty"`
-	Orbits    bool   `json:"orbits,omitempty"`
 	ShardRows int64  `json:"shardrows,omitempty"`
 }
 
@@ -501,14 +501,6 @@ func (s *Server) normalize(spec JobSpec) (JobSpec, *bilinear.Algorithm, error) {
 	if spec.K < 1 || spec.K > s.opts.MaxK {
 		return spec, nil, fmt.Errorf("k = %d out of range [1, %d]", spec.K, s.opts.MaxK)
 	}
-	switch spec.Kernel {
-	case "":
-		spec.Kernel = routing.KernelScratch
-	case routing.KernelScratch, routing.KernelSeed:
-	default:
-		return spec, nil, fmt.Errorf("unknown kernel %q (want %q or %q)",
-			spec.Kernel, routing.KernelScratch, routing.KernelSeed)
-	}
 	if spec.AdjStride < 0 || spec.ShardRows < 0 {
 		return spec, nil, fmt.Errorf("adjstride and shardrows must be ≥ 0")
 	}
@@ -543,7 +535,7 @@ func (s *Server) SubmitTrace(spec JobSpec, trace string) (*Job, error) {
 		return nil, fmt.Errorf("invalid trace ID %q (want 1-%d chars of [0-9A-Za-z_-])",
 			trace, obs.MaxTraceIDLen)
 	}
-	key := routing.CacheKey(alg, spec.K, spec.Kernel, spec.AdjStride, spec.Orbits)
+	key := routing.CacheKey(alg, spec.K, spec.AdjStride)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -740,8 +732,6 @@ func (s *Server) runJob(j *Job) {
 		K:              j.spec.K,
 		Workers:        s.opts.JobWorkers,
 		AdjStride:      j.spec.AdjStride,
-		Kernel:         j.spec.Kernel,
-		Orbits:         j.spec.Orbits,
 		CheckpointPath: filepath.Join(j.dir, "run.ckpt"),
 		ShardRows:      j.spec.ShardRows,
 		Resume:         true, // missing checkpoint = fresh run
@@ -937,8 +927,11 @@ func (s *Server) recover() error {
 			// still traceable end to end.
 			specRec.Trace = obs.NewTraceID()
 		}
+		// The key is recomputed, not read back: a job persisted under an
+		// older key scheme then finishes into, and coalesces with, the
+		// current cache identity.
 		j := &Job{
-			id: name, spec: spec, key: specRec.Key, alg: alg, dir: jdir,
+			id: name, spec: spec, key: routing.CacheKey(alg, spec.K, spec.AdjStride), alg: alg, dir: jdir,
 			trace:   specRec.Trace,
 			workers: make(map[int]routing.Progress),
 		}

@@ -106,7 +106,7 @@ func TestCacheHitSkipsEnumeration(t *testing.T) {
 	}
 
 	// Normalized variants of the same job land on the same key.
-	j3, err := s.Submit(JobSpec{Alg: "strassen", K: 2, Kernel: routing.KernelScratch, AdjStride: 257})
+	j3, err := s.Submit(JobSpec{Alg: "strassen", K: 2, AdjStride: 257})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,6 @@ func TestSubmitValidation(t *testing.T) {
 		{Alg: "nope", K: 2},
 		{Alg: "strassen", K: 0},
 		{Alg: "strassen", K: 4}, // beyond MaxK
-		{Alg: "strassen", K: 2, Kernel: "quantum"},
 		{Alg: "strassen", K: 2, AdjStride: -1},
 	} {
 		if _, err := s.Submit(spec); err == nil {
