@@ -10,8 +10,13 @@ ROUTED_DIR ?= .routed-smoke
 # Routing benchmarks: the adjacency-index and parallel-verification
 # suites plus the A10 orbit kernel against the full-enumeration
 # oracle; -benchmem adds the B/op and allocs/op columns the kernel
-# work is judged by.
+# work is judged by. Every bench target runs with -cpu 1: the
+# BENCH_routing.json baseline was recorded at GOMAXPROCS=1, and on a
+# multi-core box `go test` would otherwise append -N to every name (so
+# no row matches the baseline) and run the GOMAXPROCS worker counts in
+# parallel.
 BENCH_PATTERN = BenchmarkVerifyFullRoutingAdjacency|BenchmarkA7ParallelVerification|BenchmarkA10OrbitReduction
+BENCH_FLAGS = -run xxx -bench '$(BENCH_PATTERN)' -benchtime 5x -benchmem -cpu 1
 
 verify: vet test race vet386
 
@@ -41,7 +46,7 @@ race:
 	$(GO) test -race ./internal/routing/... ./internal/serve/... ./internal/obs/...
 
 bench-routing:
-	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 5x -benchmem .
+	$(GO) test $(BENCH_FLAGS) .
 
 # Machine-readable routing benchmark results (paths/s and allocation
 # columns next to ns/op), via the stdlib-only converter in
@@ -50,7 +55,7 @@ bench-routing:
 # fails.
 bench:
 	@set -e; trap 'rm -f bench_routing.out' EXIT; \
-	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 5x -benchmem . > bench_routing.out; \
+	$(GO) test $(BENCH_FLAGS) . > bench_routing.out; \
 	$(GO) run ./cmd/benchjson -o BENCH_routing.json < bench_routing.out
 
 # Benchmark regression diff: rerun the routing suite and compare the
@@ -68,7 +73,7 @@ bench:
 BENCH_TOLERANCE ?= 25
 bench-diff:
 	@set -e; trap 'rm -f bench_diff.out bench_diff.benchjson' EXIT; \
-	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' -benchtime 5x -benchmem . > bench_diff.out; \
+	$(GO) test $(BENCH_FLAGS) . > bench_diff.out; \
 	$(GO) build -o bench_diff.benchjson ./cmd/benchjson; \
 	st=0; ./bench_diff.benchjson -baseline BENCH_routing.json -tolerance $(BENCH_TOLERANCE) -hard allocs/op < bench_diff.out || st=$$?; \
 	if [ $$st -eq 3 ]; then echo "bench-diff: WARNING: soft (wall-clock) metric past $(BENCH_TOLERANCE)% — not failing the gate"; st=0; fi; \
@@ -78,7 +83,7 @@ bench-diff:
 # allocation counts — catches a bench-harness or kernel regression
 # without paying for a full measured run.
 bench-smoke:
-	$(GO) test -run xxx -bench 'BenchmarkA7ParallelVerification' -benchtime 1x -benchmem .
+	$(GO) test -run xxx -bench 'BenchmarkA7ParallelVerification' -benchtime 1x -benchmem -cpu 1 .
 
 # End-to-end checkpoint/resume acceptance check: pause a Strassen k=4
 # verification after 3 of 8 shards, resume it at a different worker

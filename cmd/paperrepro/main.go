@@ -443,20 +443,18 @@ func e3() {
 			}
 		}
 		emit(runlog.Record{Event: runlog.EventRunStart, Resumed: *resume})
-		var st routing.Stats
-		var err error
-		if *ckptDir != "" {
-			st, err = r.VerifyFullRoutingCheckpointed(0, routing.CheckpointConfig{
-				Path:   filepath.Join(*ckptDir, fmt.Sprintf("e3-%s-k%d.ckpt", c.alg.Name, c.k)),
-				Resume: *resume,
-				OnShard: func(d routing.ShardDone) {
-					emit(runlog.Record{Event: runlog.EventShardDone,
-						Shard: d.Shard, ShardsDone: d.Done, ShardsTotal: d.Total, ShardPaths: d.Paths})
-				},
-			})
-		} else {
-			st, err = r.VerifyFullRoutingParallel(0)
+		// Without -checkpointdir the run stays in memory.
+		cfg := routing.CheckpointConfig{
+			OnShard: func(d routing.ShardDone) {
+				emit(runlog.Record{Event: runlog.EventShardDone,
+					Shard: d.Shard, ShardsDone: d.Done, ShardsTotal: d.Total, ShardPaths: d.Paths})
+			},
 		}
+		if *ckptDir != "" {
+			cfg.Path = filepath.Join(*ckptDir, fmt.Sprintf("e3-%s-k%d.ckpt", c.alg.Name, c.k))
+			cfg.Resume = *resume
+		}
+		st, err := r.VerifyFullRoutingCheckpointed(0, cfg)
 		if err != nil {
 			emit(runlog.Record{Event: runlog.EventViolation, Error: err.Error()})
 		}

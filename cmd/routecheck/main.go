@@ -18,10 +18,12 @@
 // runs the full enumeration instead, the independent oracle whose
 // stats the kernel must reproduce bit for bit.
 //
-// With -checkpoint, the full routing persists completed shards to the
-// given file; a killed run restarted with -resume skips them and
-// reports final stats bit-identical to an uninterrupted run. -maxshards
-// stops after N new shards (exit code 3) to time-box long runs.
+// The full routing always runs on the sharded engine and prints the
+// same lines with or without -checkpoint. With -checkpoint, it
+// persists completed shards to the given file; a killed run restarted
+// with -resume skips them and reports final stats bit-identical to an
+// uninterrupted run. -maxshards stops after N new shards (exit code 3)
+// to time-box long runs.
 // -journal appends structured JSONL records (see internal/runlog);
 // -summarize aggregates such a journal and exits.
 //
@@ -71,7 +73,7 @@ var (
 	orbits     = flag.Bool("orbits", true, "full routing: collapse pair-path orbits (bit-identical stats, ~n₀ᵏ-fold less chain work; -orbits=false runs the full-enumeration oracle)")
 	checkpoint = flag.String("checkpoint", "", "persist completed shards of the full routing to this file")
 	resume     = flag.Bool("resume", false, "with -checkpoint: skip shards already completed in the checkpoint file")
-	shardRows  = flag.Int64("shardrows", 0, "with -checkpoint: enumeration rows per shard (0 = ~1M paths per shard)")
+	shardRows  = flag.Int64("shardrows", 0, "enumeration rows per shard of the full routing (0 = ~1M paths per shard, at least one shard per worker)")
 	maxShards  = flag.Int64("maxshards", 0, "with -checkpoint: stop after N new shards, exit 3 (0 = run to completion)")
 	journal    = flag.String("journal", "", "append JSONL run records to this file")
 	summarize  = flag.String("summarize", "", "summarize a JSONL journal and exit")
@@ -328,17 +330,35 @@ func main() {
 			printer = progressPrinter()
 		}
 		r.Progress = chainProgress(printer, health.onProgress)
-		if *checkpoint != "" {
-			runCheckpointed(r, alg, emit)
-			return
-		}
-		emit(runlog.Record{Event: runlog.EventRunStart})
-		st, err = r.VerifyFullRoutingParallel(*workers)
-		if err != nil {
+		emit(runlog.Record{Event: runlog.EventRunStart, Resumed: *resume})
+		st, err = r.VerifyFullRoutingCheckpointed(*workers, routing.CheckpointConfig{
+			Path:      *checkpoint,
+			ShardRows: *shardRows,
+			MaxShards: *maxShards,
+			Resume:    *resume,
+			OnShard: func(d routing.ShardDone) {
+				health.onShard(d)
+				emit(runlog.Record{Event: runlog.EventShardDone,
+					Shard: d.Shard, ShardsDone: d.Done, ShardsTotal: d.Total, ShardPaths: d.Paths})
+				if *progress {
+					fmt.Fprintf(os.Stderr, "shard %d done (%d paths), %d/%d complete\n",
+						d.Shard, d.Paths, d.Done, d.Total)
+				}
+			},
+		})
+		switch {
+		case errors.Is(err, routing.ErrPaused):
+			emit(finalRecord(st, *resume, true))
+			fmt.Printf("PAUSED: %v\n", err)
+			fmt.Printf("rerun with -resume to continue; partial stats: %s\n", st)
+			holdDebug() // os.Exit skips the deferred hold
+			stopProfiles()
+			os.Exit(exitPaused)
+		case err != nil:
 			emit(runlog.Record{Event: runlog.EventViolation, Error: err.Error()})
 			fail(err)
 		}
-		emit(finalRecord(st, false, false))
+		emit(finalRecord(st, *resume, false))
 		if err := r.VerifyChainUsage(); err != nil {
 			fail(err)
 		}
@@ -371,45 +391,6 @@ func main() {
 		st.MaxVertexHits, st.Bound, st.MaxMetaHits, st.Bound)
 	if st.AdjacencyChecked > 0 {
 		fmt.Printf("adjacency verified edge-by-edge on %d paths\n", st.AdjacencyChecked)
-	}
-}
-
-// runCheckpointed drives the sharded crash-safe verifier and exits.
-func runCheckpointed(r *routing.Router, alg *bilinear.Algorithm, emit func(runlog.Record)) {
-	emit(runlog.Record{Event: runlog.EventRunStart, Resumed: *resume})
-	st, err := r.VerifyFullRoutingCheckpointed(*workers, routing.CheckpointConfig{
-		Path:      *checkpoint,
-		ShardRows: *shardRows,
-		MaxShards: *maxShards,
-		Resume:    *resume,
-		OnShard: func(d routing.ShardDone) {
-			health.onShard(d)
-			emit(runlog.Record{Event: runlog.EventShardDone,
-				Shard: d.Shard, ShardsDone: d.Done, ShardsTotal: d.Total, ShardPaths: d.Paths})
-			if *progress {
-				fmt.Fprintf(os.Stderr, "shard %d done (%d paths), %d/%d complete\n",
-					d.Shard, d.Paths, d.Done, d.Total)
-			}
-		},
-	})
-	switch {
-	case err == nil:
-		emit(finalRecord(st, *resume, false))
-		printRanks(st.Ranks)
-		fmt.Printf("%s G_%d full routing: %s\n", alg.Name, *k, st)
-		printStatsLine(st)
-		fmt.Printf("VERIFIED: max vertex hits %d ≤ bound %d; max meta-vertex hits %d ≤ bound %d\n",
-			st.MaxVertexHits, st.Bound, st.MaxMetaHits, st.Bound)
-	case errors.Is(err, routing.ErrPaused):
-		emit(finalRecord(st, *resume, true))
-		fmt.Printf("PAUSED: %v\n", err)
-		fmt.Printf("rerun with -resume to continue; partial stats: %s\n", st)
-		holdDebug() // os.Exit skips the deferred hold
-		stopProfiles()
-		os.Exit(exitPaused)
-	default:
-		emit(runlog.Record{Event: runlog.EventViolation, Error: err.Error()})
-		fail(err)
 	}
 }
 

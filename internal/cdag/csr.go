@@ -13,7 +13,7 @@ package cdag
 // plus one int64 per vertex, which for every graph New admits (IDs fit
 // int32) is a few hundred MB at the extreme and typically far less.
 
-import "sort"
+import "slices"
 
 // buildAdjacency materializes the parent adjacency of every vertex in
 // CSR form with each row sorted ascending.
@@ -31,7 +31,7 @@ func (g *Graph) buildAdjacency() {
 		for i, e := range buf {
 			row[i] = e.To
 		}
-		sort.Slice(row, func(i, j int) bool { return row[i] < row[j] })
+		slices.Sort(row)
 	}
 	g.parentPtr, g.parentNbr = ptr, nbr
 }

@@ -2,15 +2,21 @@ package routing
 
 // Tests for the sharded checkpoint/resume layer: interrupt-anywhere
 // bit-identical resume, worker-count independence, compatibility
-// rejection, pause semantics, and deterministic error reporting.
+// rejection, pause semantics, deterministic error reporting, and the
+// on-disk format: version-1 files written by earlier builds resume,
+// and internally inconsistent files are rejected on load.
 
 import (
+	"encoding/gob"
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"pathrouting/internal/bilinear"
+	"pathrouting/internal/cdag"
 	"pathrouting/internal/obs"
 )
 
@@ -178,14 +184,14 @@ func TestCheckpointReportsSequentialError(t *testing.T) {
 // cumulative Done strictly increasing to NumShards.
 func TestCheckpointOnShardAndPlan(t *testing.T) {
 	r := mustRouter(t, bilinear.Strassen(), 2) // 32 rows
-	plan := r.shardPlan(5)
+	plan := r.shardPlan(5, 1)
 	if plan.rows != 32 || plan.shardRows != 5 || plan.numShards != 7 {
 		t.Fatalf("plan = %+v", plan)
 	}
-	if p := r.shardPlan(0); p.shardRows < 1 || p.numShards < 1 {
+	if p := r.shardPlan(0, 1); p.shardRows < 1 || p.numShards < 1 {
 		t.Fatalf("default plan = %+v", p)
 	}
-	if p := r.shardPlan(1 << 40); p.shardRows != p.rows || p.numShards != 1 {
+	if p := r.shardPlan(1<<40, 1); p.shardRows != p.rows || p.numShards != 1 {
 		t.Fatalf("oversized shard plan = %+v", p)
 	}
 
@@ -312,4 +318,203 @@ func TestResumeCreditsRestoredWork(t *testing.T) {
 		t.Fatalf("fully-restored notifications %+v, want one covering all 8 shards", restored)
 	}
 	r.Obs = nil
+}
+
+// copyFixture copies a checked-in checkpoint into a temp dir, so a
+// resume can rewrite it.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), name)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestCheckpointV1FixtureResumes resumes a real version-1 checkpoint:
+// testdata/v1-strassen-k3.ckpt was written by a build that stored
+// meta-vertex hits as a sparse map (`routecheck -alg strassen -k 3
+// -workers 2 -shardrows 16 -maxshards 3 -checkpoint …`, paused after 3
+// of 8 shards). It must load into the dense form and resume, at a
+// different worker count, to Stats bit-identical to a fresh run; the
+// file it leaves behind is version 2 and reloads to the same totals.
+func TestCheckpointV1FixtureResumes(t *testing.T) {
+	path := copyFixture(t, "v1-strassen-k3.ckpt")
+	cp, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cp.Version != CheckpointVersion || len(cp.Meta) != cp.NumVertices ||
+		cp.DoneCount != 3 || cp.NumShards != 8 || cp.ShardRows != 16 {
+		t.Fatalf("v1 fixture loaded as version %d, %d meta counters for %d vertices, %d/%d shards of %d rows",
+			cp.Version, len(cp.Meta), cp.NumVertices, cp.DoneCount, cp.NumShards, cp.ShardRows)
+	}
+	r := mustRouter(t, bilinear.Strassen(), 3)
+	want, err := r.VerifyFullRouting()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, orbits := range []bool{true, false} {
+		path := copyFixture(t, "v1-strassen-k3.ckpt")
+		r.OrbitReduction = orbits
+		st, err := r.VerifyFullRoutingCheckpointed(3, CheckpointConfig{Path: path, Resume: true})
+		if err != nil {
+			t.Fatalf("orbits=%v: resume of v1 fixture: %v", orbits, err)
+		}
+		if !sameStats(st, want) {
+			t.Fatalf("orbits=%v:\nresumed v1 %+v\nfresh      %+v", orbits, st, want)
+		}
+		again, err := r.VerifyFullRoutingCheckpointed(2, CheckpointConfig{Path: path, Resume: true})
+		if err != nil || !sameStats(again, want) {
+			t.Fatalf("orbits=%v: reload of the rewritten checkpoint: %+v, %v", orbits, again, err)
+		}
+	}
+	r.OrbitReduction = false
+}
+
+// v1Checkpoint is the version-1 file layout: meta hits as a sparse map.
+type v1Checkpoint struct {
+	Version, K, NumVertices         int
+	Alg                             string
+	ShardRows, NumShards, AdjStride int64
+	Done                            []bool
+	DoneCount, NumPaths, TotalHits  int64
+	AdjChecked                      int64
+	Hits                            []int64
+	MetaHits                        map[cdag.V]int64
+}
+
+// writeCheckpoint gob-encodes c to a temp file, bypassing save's
+// invariants, so tests can hand the loader inconsistent files.
+func writeCheckpoint(t *testing.T, c any) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "bad.ckpt")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := gob.NewEncoder(f).Encode(c); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLoadCheckpointRejectsInconsistent is the regression test for a
+// resume panic: a file whose DoneCount exceeded NumShards reached
+// make([]int64, 0, NumShards-DoneCount) and crashed with "makeslice:
+// cap out of range" — in a daemon, on every recovery of the job.
+// testdata/donecount-strassen-k2.ckpt is such a file (a version-1
+// checkpoint with DoneCount 13 for 8 shards, 3 of them done). It, and
+// files with a meta-hit vector of the wrong length or a version-1
+// meta-vertex key out of range, must be load errors, and a resume over
+// them an error, never a panic.
+func TestLoadCheckpointRejectsInconsistent(t *testing.T) {
+	r := mustRouter(t, bilinear.Strassen(), 2)
+	good, err := LoadCheckpoint(filepath.Join("testdata", "v2-strassen-k2.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := good.NumVertices
+	cases := map[string]string{"donecount fixture": copyFixture(t, "donecount-strassen-k2.ckpt")}
+	for name, mutate := range map[string]func(c *Checkpoint){
+		"done count below flags": func(c *Checkpoint) { c.DoneCount-- },
+		"short meta vector":      func(c *Checkpoint) { c.Meta = c.Meta[:n-1] },
+		"missing done flags":     func(c *Checkpoint) { c.Done = c.Done[:1] },
+		"unknown version":        func(c *Checkpoint) { c.Version = CheckpointVersion + 1 },
+	} {
+		c := *good
+		mutate(&c)
+		cases[name] = writeCheckpoint(t, &c)
+	}
+	for name, key := range map[string]cdag.V{"v1 key out of range": cdag.V(n), "v1 negative key": -1} {
+		c := v1Checkpoint{Version: 1, Alg: good.Alg, K: good.K, NumVertices: n, ShardRows: good.ShardRows,
+			NumShards: good.NumShards, AdjStride: good.AdjStride, Done: good.Done, DoneCount: good.DoneCount,
+			Hits: good.Hits, MetaHits: map[cdag.V]int64{key: 1}}
+		cases[name] = writeCheckpoint(t, &c)
+	}
+	for name, path := range cases {
+		if _, err := LoadCheckpoint(path); err == nil {
+			t.Errorf("%s: loaded without error", name)
+		}
+		_, err := r.VerifyFullRoutingCheckpointed(2, CheckpointConfig{Path: path, Resume: true})
+		if err == nil || errors.Is(err, ErrPaused) {
+			t.Errorf("%s: resume err = %v, want a load error", name, err)
+		}
+	}
+	_, err = LoadCheckpoint(cases["donecount fixture"])
+	if err == nil || !strings.Contains(err.Error(), "done count 13") {
+		t.Fatalf("donecount fixture: err = %v, want the inconsistent done count named", err)
+	}
+}
+
+// TestInMemoryRejectsPersistenceOptions: Resume and MaxShards only make
+// sense with a checkpoint file; without a Path they are errors, not
+// silently ignored.
+func TestInMemoryRejectsPersistenceOptions(t *testing.T) {
+	r := mustRouter(t, bilinear.Strassen(), 1)
+	for _, cfg := range []CheckpointConfig{{Resume: true}, {MaxShards: 1}} {
+		if _, err := r.VerifyFullRoutingCheckpointed(1, cfg); err == nil {
+			t.Errorf("%+v without a Path accepted", cfg)
+		}
+	}
+}
+
+// gobUint reads a gob unsigned integer at b[i:]: one byte below 128,
+// else a negated byte count and that many big-endian bytes.
+func gobUint(b []byte, i int) (v uint64, next int) {
+	if b[i] < 0x80 {
+		return uint64(b[i]), i + 1
+	}
+	n := int(-int8(b[i]))
+	for _, c := range b[i+1 : i+1+n] {
+		v = v<<8 | uint64(c)
+	}
+	return v, i + 1 + n
+}
+
+// TestLoadCheckpointBoundsV1MapClaim: gob sizes a map from the entry
+// count on the wire before reading any entry, so a version-1 file whose
+// meta-hit map claims 2²⁰ entries but holds one would, decoded
+// naively, allocate tens of MB (and gigabytes for larger claims) before
+// failing. The loader must reject it without allocating for the claim.
+func TestLoadCheckpointBoundsV1MapClaim(t *testing.T) {
+	path := writeCheckpoint(t, &v1Checkpoint{Version: 1, NumVertices: 1, Hits: []int64{0},
+		MetaHits: map[cdag.V]int64{0: 1}})
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The value is the stream's last message, and the map its last
+	// field: the entry count (1) directly precedes the one (key 0,
+	// value 1) pair and the struct terminator.
+	var last, i int
+	for i < len(b) {
+		n, body := gobUint(b, i)
+		last, i = i, body+int(n)
+	}
+	n, body := gobUint(b, last)
+	if b[len(b)-4] != 1 || body+int(n) != len(b) || n+4 >= 0x80 {
+		t.Fatalf("unexpected encoding of the map tail: % x", b[last:])
+	}
+	claim := []byte{0xfd, 0x10, 0, 0} // 1<<20 entries
+	msg := append(append(append([]byte{}, b[body:len(b)-4]...), claim...), b[len(b)-3:]...)
+	b = append(append(b[:last:last], byte(len(msg))), msg...)
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = LoadCheckpoint(path)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("truncated version-1 map accepted")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+		t.Fatalf("loading a 2²⁰-entry map claim allocated %d bytes: %v", grew, err)
+	}
 }

@@ -15,21 +15,6 @@ import "pathrouting/internal/cdag"
 
 type hitVec []int64
 
-// bump increments v's counter and returns the new value, so callers
-// can track a running peak with `peak = max(peak, h.bump(v))`.
-func (h hitVec) bump(v cdag.V) int64 {
-	h[v]++
-	return h[v]
-}
-
-// add increases v's counter by n and returns the new value — the
-// weighted form of bump the orbit-reduced scan uses to credit a whole
-// orbit's worth of hits to a shared-chain vertex at once.
-func (h hitVec) add(v cdag.V, n int64) int64 {
-	h[v] += n
-	return h[v]
-}
-
 // addBlock adds n to count consecutive counters starting at v — the
 // contiguous-progression form the orbit kernel uses to credit
 // the rank-j chain vertices of a whole member block at once (the

@@ -21,10 +21,10 @@ func TestHitVecAddBlock(t *testing.T) {
 	}
 	got.addBlock(cdag.V(3), 5, 7)
 	for i := 0; i < 5; i++ {
-		want.add(cdag.V(3+i), 7)
+		want[3+i] += 7
 	}
 	got.addBlock(cdag.V(15), 1, 2) // single-element block at the tail
-	want.add(cdag.V(15), 2)
+	want[15] += 2
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("counter %d: got %d, want %d", v, got[v], want[v])
@@ -37,10 +37,10 @@ func TestHitVecBumpStride(t *testing.T) {
 	want := make(hitVec, 32)
 	got.bumpStride(cdag.V(2), 3, 5) // hits 2, 5, 8, 11, 14
 	for i := 0; i < 5; i++ {
-		want.bump(cdag.V(2 + 3*i))
+		want[2+3*i]++
 	}
 	got.bumpStride(cdag.V(31), 4, 1) // count 1: stride must not matter
-	want.bump(cdag.V(31))
+	want[31]++
 	got.bumpStride(cdag.V(20), 1, 3) // stride 1 degenerates to addBlock n=1
 	want.addBlock(cdag.V(20), 3, 1)
 	for v := range want {

@@ -30,8 +30,7 @@ type Instruments struct {
 	// accumulators (the global maximum appears in final Stats after
 	// the merge; this gauge tracks the live lower bound on it).
 	PeakVertexHits *obs.Gauge
-	// ShardEnumerate is the latency of one shard (or, in plain
-	// parallel runs, one worker row-range) enumeration pass.
+	// ShardEnumerate is the latency of one shard's enumeration pass.
 	ShardEnumerate *obs.Histogram
 	// ShardsDone counts completed shards; ShardsSkipped counts shards
 	// a resumed run restored from the checkpoint instead of re-running.
@@ -78,9 +77,9 @@ func NewInstruments(reg *obs.Registry) *Instruments {
 		PeakVertexHits: reg.Gauge("routing_peak_vertex_hits",
 			"largest per-worker local vertex hit count observed so far"),
 		ShardEnumerate: reg.Histogram("routing_shard_enumerate_seconds",
-			"latency of one shard (or worker row-range) enumeration pass", obs.LatencyBuckets),
+			"latency of one shard enumeration pass", obs.LatencyBuckets),
 		ShardsDone: reg.Counter("routing_shards_done_total",
-			"checkpoint shards completed this run"),
+			"shards completed this run"),
 		ShardsSkipped: reg.Counter("routing_shards_resume_skipped_total",
 			"checkpoint shards restored from a resumed checkpoint instead of re-run"),
 		OrbitGroups: reg.Counter("routing_orbit_groups_total",
@@ -120,9 +119,8 @@ func (in *Instruments) WithJob(tc obs.TraceContext) *Instruments {
 	}
 }
 
-// noteStart records the engine start the throughput gauge divides by.
-// Keeps the earliest start across E3-style back-to-back runs sharing
-// one bundle simple: each verification resets it.
+// noteStart records the engine start the throughput gauge divides by;
+// each verification resets it.
 func (in *Instruments) noteStart(t time.Time) {
 	if in == nil {
 		return

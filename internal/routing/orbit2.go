@@ -64,9 +64,7 @@ package routing
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
-	"time"
 
 	"pathrouting/internal/bilinear"
 	"pathrouting/internal/cdag"
@@ -75,7 +73,7 @@ import (
 // scanRowsOrbit2 is scanRows with orbit reduction, family-aggregated
 // shared chains, and blocked member accumulation: same row ranges, same
 // accumulators, bit-identical statistics.
-func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr *atomic.Int64, out *workerState) {
+func (r *Router) scanRowsOrbit2(w *worker, rowLo, rowHi int64, earliestErr *atomic.Int64) {
 	g := r.G
 	k := r.k
 	aK := r.powA[k]
@@ -84,42 +82,9 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 	chainLen := 2*k + 2
 	wantLen := 3*chainLen - 2
 	stride := r.adjStride()
-	out.hits = make(hitVec, g.NumVertices())
-	out.metaHits = make(hitVec, g.NumVertices())
-	out.errPos = math.MaxInt64
-	total := (rowHi - rowLo) * aK
-	observing := r.Progress != nil || r.Obs != nil
-	nextEmit := int64(progressChunk)
-	var lastEmit time.Time
-	var flushedPaths, flushedAdj int64
-	var orbits, flushedOrbits int64
-	var families, flushedFamilies int64
-	emit := func(final bool) {
-		// The running peak is recomputed from the accumulator here, at
-		// snapshot cadence, instead of per bump on the hot path: hit
-		// counts only grow, so the maximum at emit time is exact, and
-		// only Progress/metrics read out.peak (the final Stats maximum
-		// comes from the merged vectors).
-		out.peak = out.hits.max()
-		r.Obs.flushScan(out.numPaths-flushedPaths, out.adjChecked-flushedAdj, out.peak)
-		r.Obs.flushOrbit(orbits-flushedOrbits, families-flushedFamilies)
-		flushedPaths, flushedAdj = out.numPaths, out.adjChecked
-		flushedOrbits, flushedFamilies = orbits, families
-		nextEmit = out.numPaths + progressChunk
-		lastEmit = time.Now()
-		if r.Progress != nil {
-			r.Progress(Progress{Worker: w, Workers: workers, Done: out.numPaths,
-				Total: total, PeakVertexHits: out.peak, Final: final})
-		}
-	}
-	if observing {
-		lastEmit = time.Now()
-		defer emit(true)
-	}
-
 	metaRoots := g.MetaRoots()
-	ps := r.newPathScratch()
-	full := make([]cdag.V, 0, wantLen) // sampled paths, materialized whole
+	ps := w.ps
+	hits, metaHits := w.hits, w.metaHits
 
 	// All per-slot and per-rank synthesis state in one backing array.
 	// Per slot l: the input digit, the fixed-digit-independent parts of
@@ -142,17 +107,18 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 	d1, d2 := cut(k+1), cut(k+1)
 	enc1Base, enc3Base, decBase := cut(k+1), cut(k+1), cut(k+1)
 
-	// stamp[root] holds the serial of the last orbit whose shared chains
-	// credited root: the O(1) "already counted for every member of this
-	// orbit" test. Serial 0 is never used, so the zeroed vector starts
-	// clean.
-	stamp := make([]int64, g.NumVertices())
+	// w.stamp[root] holds the serial of the last orbit whose shared
+	// chains credited root: the O(1) "already counted for every member of
+	// this orbit" test. Serials only grow, across all of the worker's
+	// shards, and 0 is never used, so the zeroed vector starts clean and
+	// is never cleared.
+	stamp := w.stamp
 	var serial int64
 	credit := func(v cdag.V) {
-		out.hits[v] += n0K
+		hits[v] += n0K
 		if root := metaRoots[v]; stamp[root] != serial {
 			stamp[root] = serial
-			out.metaHits[root] += n0K
+			metaHits[root] += n0K
 		}
 	}
 
@@ -163,7 +129,7 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 		}
 		side, in := r.rowOf(row)
 		ps.setIn(r, in)
-		families++
+		w.families++
 		// Orbit geometry: side A fixes the output column digits (unit
 		// scale in the packed digit) and frees the row digits (·n₀);
 		// side B the mirror image. Chain 1 lives in the side's encoding
@@ -251,8 +217,9 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 				jcSuf[j] = jcDig[k-j]*r.powA[j-1] + jcSuf[j-1]
 				blockOut = blockOut*r.a + oDig[j-1]
 			}
-			serial++
-			orbits++
+			w.serial++
+			serial = w.serial
+			w.orbits++
 			t1Full, t2Full := t1Pre[k], t2Pre[k]
 			// Weighted shared-chain credits, synthesized in chain order:
 			// chain 1 whole (enc 0..k, product, dec 1..k), chain 2 minus
@@ -290,10 +257,10 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 				rPrev := cdag.V(-1)
 				for j := 1; j < k; j++ {
 					v := cdag.V(enc3Base[j] + t3Pre[j]*r.powA[k-j] + jcSuf[k-j])
-					out.hits.add(v, n0)
+					hits[v] += n0
 					root := metaRoots[v]
 					if root != rPrev && stamp[root] != serial {
-						out.metaHits[root] += n0
+						metaHits[root] += n0
 					}
 					rPrev = root
 				}
@@ -309,18 +276,18 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 					start := decBase[j] + t3Pre[k-j]*r.powA[j] + outSuf[j]
 					sv := cdag.V(start)
 					if freeScale == 1 {
-						out.hits.addBlock(sv, r.n0, 1)
-						out.metaHits.addBlock(sv, r.n0, 1)
+						hits.addBlock(sv, r.n0, 1)
+						metaHits.addBlock(sv, r.n0, 1)
 					} else {
-						out.hits.bumpStride(sv, freeScale, r.n0)
-						out.metaHits.bumpStride(sv, freeScale, r.n0)
+						hits.bumpStride(sv, freeScale, r.n0)
+						metaHits.bumpStride(sv, freeScale, r.n0)
 					}
 					if d := d1[j] - start; d >= 0 && d < span && d%freeScale == 0 {
-						out.metaHits[d1[j]]--
+						metaHits[d1[j]]--
 					}
 					if j < k && d2[j] != d1[j] {
 						if d := d2[j] - start; d >= 0 && d < span && d%freeScale == 0 {
-							out.metaHits[d2[j]]--
+							metaHits[d2[j]]--
 						}
 					}
 				}
@@ -333,32 +300,33 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 				m := (row*aK + blockOut) % stride
 				for i := int64(0); i < n0; i++ {
 					t := tHi + int64(match3[int(base3+i*freeScale)])
-					out.hits[encKBase+t]++
-					out.hits[prodBase+t]++
+					hits[encKBase+t]++
+					hits[prodBase+t]++
 					rk := metaRoots[encKBase+t]
 					if rk != rPrev && stamp[rk] != serial {
-						out.metaHits[rk]++
+						metaHits[rk]++
 					}
 					if t != t1Full && t != t2Full {
-						out.metaHits[prodBase+t]++
+						metaHits[prodBase+t]++
 					}
 					if m == 0 {
 						// Same sample as the full scan: sync the last
 						// free digit, materialize through the composition
 						// kernel, check edge by edge.
-						out.adjChecked++
+						w.adjChecked++
 						outIdx := blockOut + i*freeScale
 						freeD[k-1] = i
-						full = r.appendPairPath(ps, side, in, outIdx, full[:0])
+						full := r.appendPairPath(ps, side, in, outIdx, w.buf[:0])
+						w.buf = full
 						freeD[k-1] = 0
 						if len(full) != wantLen {
-							out.fail(row*aK+outIdx, fmt.Errorf("routing: pair path (side %v, in %d, out %d): length %d, want %d",
+							w.fail(row*aK+outIdx, fmt.Errorf("routing: pair path (side %v, in %d, out %d): length %d, want %d",
 								side, in, outIdx, len(full), wantLen), earliestErr)
 							return
 						}
 						for x := 0; x+1 < len(full); x++ {
 							if !g.Adjacent(full[x], full[x+1]) {
-								out.fail(row*aK+outIdx, fmt.Errorf("routing: pair path (side %v, in %d, out %d): not connected at %s -- %s",
+								w.fail(row*aK+outIdx, fmt.Errorf("routing: pair path (side %v, in %d, out %d): not connected at %s -- %s",
 									side, in, outIdx, g.Label(full[x]), g.Label(full[x+1])), earliestErr)
 								return
 							}
@@ -368,8 +336,8 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 						m -= stride
 					}
 				}
-				out.numPaths += n0
-				out.totalHits += n0 * int64(wantLen)
+				w.numPaths += n0
+				w.totalHits += n0 * int64(wantLen)
 
 				// Advance the block odometer; a full wrap (l < 0) also
 				// restores freeD/oDig/t3Dig/blockOut to the orbit's base
@@ -396,12 +364,10 @@ func (r *Router) scanRowsOrbit2(w, workers int, rowLo, rowHi int64, earliestErr 
 				}
 			}
 			// Snapshot cadence at orbit granularity: an orbit is n₀ᵏ
-			// paths, far below progressChunk, so checking here (and
-			// reading the clock behind the time floor) instead of per
-			// member moves the cadence by at most one orbit.
-			if observing && (out.numPaths >= nextEmit ||
-				(orbits&progressClockMask == 0 && time.Since(lastEmit) >= progressTimeFloor)) {
-				emit(false)
+			// paths, far below progressChunk, so checking here instead
+			// of per member moves the cadence by at most one orbit.
+			if w.observing {
+				w.tick(w.orbits&progressClockMask == 0)
 			}
 		}
 	}

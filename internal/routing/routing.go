@@ -189,8 +189,8 @@ type Router struct {
 	// enumeration, the independent oracle the kernel is checked against.
 	OrbitReduction bool
 	// Progress, when non-nil, receives periodic Progress snapshots from
-	// VerifyFullRouting and VerifyFullRoutingParallel. It is called
-	// concurrently from all workers and must be safe for concurrent use.
+	// the full-routing verifiers. It is called concurrently from all
+	// workers and must be safe for concurrent use.
 	Progress func(Progress)
 	// Obs, when non-nil, receives batched metric updates and trace
 	// spans from the full-routing verifiers (see NewInstruments).
@@ -525,9 +525,7 @@ func (r *Router) ForEachGuaranteedChain(fn func(side bilinear.Side, in, out int6
 			if side == bilinear.SideB {
 				stepScale = n0
 			}
-			for l := range free {
-				free[l] = 0
-			}
+			clear(free)
 			out := base
 			for {
 				var ok bool

@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"pathrouting/internal/bilinear"
@@ -82,18 +83,21 @@ func (s Stats) PathsPerSecond() float64 {
 	return float64(s.NumPaths) / s.Elapsed.Seconds()
 }
 
-// Progress is a periodic observability snapshot from a running
-// VerifyFullRouting / VerifyFullRoutingParallel, delivered to
-// Router.Progress. Snapshots arrive concurrently from several workers;
-// the callback must be safe for concurrent use.
+// Progress is a periodic observability snapshot from a running full
+// routing, delivered to Router.Progress. Snapshots arrive concurrently
+// from several workers; the callback must be safe for concurrent use.
+// Each worker emits exactly one Final snapshot, when it exits.
 type Progress struct {
 	// Worker identifies the reporting worker in [0, Workers).
 	Worker int
 	// Workers is the total worker count of this verification.
 	Workers int
-	// Done is the number of pair paths this worker has enumerated.
+	// Done is the number of pair paths this worker has enumerated,
+	// across all its shards.
 	Done int64
-	// Total is the number of pair paths assigned to this worker.
+	// Total is the number of pair paths in the shards this worker has
+	// claimed so far (Done == Total in the Final snapshot of a run
+	// without errors).
 	Total int64
 	// PeakVertexHits is the largest per-vertex hit count in this
 	// worker's local accumulator so far (the global maximum is the
@@ -150,7 +154,7 @@ func (r *Router) VerifyGuaranteedRouting() (Stats, error) {
 			return
 		}
 		for _, v := range chain {
-			hits.bump(v)
+			hits[v]++
 		}
 	})
 	st.Elapsed = time.Since(start)
@@ -169,11 +173,11 @@ func (r *Router) VerifyGuaranteedRouting() (Stats, error) {
 // every input–output pair of G_k) and verifies path validity, the
 // per-vertex hit bound 6aᵏ, and the per-meta-vertex hit bound 6aᵏ.
 // Every AdjacencySampleStride-th path is additionally verified edge by
-// edge against G's adjacency. It is the one-worker instance of
-// VerifyFullRoutingParallel and returns bit-identical Stats (Elapsed
-// aside) and identical errors.
+// edge against G's adjacency. It is the one-worker in-memory run of
+// the engine, so every worker count returns bit-identical Stats
+// (Elapsed aside) and identical errors.
 func (r *Router) VerifyFullRouting() (Stats, error) {
-	return r.verifyFullRouting(1)
+	return r.VerifyFullRoutingCheckpointed(1, CheckpointConfig{})
 }
 
 // VerifyChainUsage checks the exact counting claim inside Lemma 4's
@@ -290,14 +294,7 @@ func (r *Router) VerifyValueClassRouting() (Stats, error) {
 				root = g.ValueRoot(v)
 				cache[v] = root
 			}
-			seen := false
-			for _, s := range roots {
-				if s == root {
-					seen = true
-					break
-				}
-			}
-			if !seen {
+			if !slices.Contains(roots, root) {
 				roots = append(roots, root)
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,7 +19,6 @@ import (
 	"testing"
 
 	"pathrouting/internal/bilinear"
-	"pathrouting/internal/cdag"
 	"pathrouting/internal/routing"
 )
 
@@ -43,9 +41,9 @@ func writeFile(t *testing.T, path, body string) {
 }
 
 // TestLegacyDataDirRecovers builds a data dir in the earlier format — a
-// queued seed-kernel job paused mid-run, a finished orbit job, and a
-// cache file under the earlier key — and drives a current server over
-// it, in process and over HTTP.
+// queued seed-kernel job paused mid-run with a version-1 checkpoint, a
+// finished orbit job, and a cache file under the earlier key — and
+// drives a current server over it, in process and over HTTP.
 func TestLegacyDataDirRecovers(t *testing.T) {
 	strassen := bilinear.Strassen()
 	ref := newTestServer(t, Options{})
@@ -57,25 +55,21 @@ func TestLegacyDataDirRecovers(t *testing.T) {
 	want := waitTerminal(t, ref, jr.ID())
 
 	dir := t.TempDir()
-	// Queued seed-kernel job with 3 of 8 shards checkpointed. The seed
-	// kernel's shard contributions were bit-identical to full
-	// enumeration's, so the full enumeration writes its checkpoint.
+	// Queued seed-kernel job with 3 of 8 shards checkpointed, by a build
+	// that wrote version-1 checkpoints (meta-vertex hits as a sparse
+	// map): the routing package's fixture, written by that build with
+	// the job's geometry (Strassen k=3, 16-row shards).
 	qdir := filepath.Join(dir, "jobs", "j00000001")
 	writeFile(t, filepath.Join(qdir, "spec.json"), fmt.Sprintf(
 		`{"id":"j00000001","key":%q,"trace":"legacy-queued","spec":{"alg":"strassen","k":3,"kernel":"seed","orbits":false,"shardrows":16}}`,
 		legacyCacheKey(strassen, 3, "seed", false)))
-	g, err := cdag.New(strassen, 3)
+	ckpt, err := os.ReadFile(filepath.Join("..", "routing", "testdata", "v1-strassen-k3.ckpt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := routing.NewRouter(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.VerifyFullRoutingCheckpointed(2, routing.CheckpointConfig{
-		Path: filepath.Join(qdir, "run.ckpt"), ShardRows: 16, MaxShards: 3,
-	}); !errors.Is(err, routing.ErrPaused) {
-		t.Fatalf("legacy checkpoint: err = %v, want ErrPaused", err)
+	writeFile(t, filepath.Join(qdir, "run.ckpt"), string(ckpt))
+	if cp, err := routing.LoadCheckpoint(filepath.Join(qdir, "run.ckpt")); err != nil || cp.DoneCount != 3 || cp.NumShards != 8 {
+		t.Fatalf("legacy checkpoint: %+v, %v", cp, err)
 	}
 	// Finished orbit job, and its certificate cached under the earlier key.
 	oldKey2 := legacyCacheKey(strassen, 2, "scratch", true)

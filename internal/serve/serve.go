@@ -776,6 +776,7 @@ func (s *Server) runJob(j *Job) {
 			outcome = "resumed"
 		}
 		s.met.finished.With(outcome).Inc()
+		s.met.completed.Inc() // before the state flips, as finished is
 		s.met.jobDuration.With(outcome).Observe(elapsed.Seconds())
 		cur = j.finishAccounting(st.NumPaths)
 		s.met.queueWait.With(outcome).Observe(cur.QueueWaitSeconds)
@@ -803,7 +804,6 @@ func (s *Server) runJob(j *Job) {
 			fmt.Fprintf(os.Stderr, "serve: cache spill: %v\n", err)
 		}
 		s.finishJob(j)
-		s.met.completed.Inc()
 		j.events.publish(eventFinal, j.Snapshot())
 	case errors.Is(err, routing.ErrPaused):
 		// Drained by Shutdown: back to queued. The checkpoint holds
