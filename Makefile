@@ -39,9 +39,9 @@ vet386:
 # The routing package owns all the goroutine fan-out (parallel
 # Routing Theorem verification, lazy CSR index construction), the
 # serve package layers SSE fan-out and the job broadcaster on top, and
-# the obs package's runtime sampler publishes into the registry the
-# debug server scrapes concurrently; run all three under the race
-# detector on every verify.
+# the obs package's runtime sampler publishes into the registry on
+# every read, from the debug server and the heartbeat at once; run all
+# three under the race detector on every verify.
 race:
 	$(GO) test -race ./internal/routing/... ./internal/serve/... ./internal/obs/...
 
@@ -114,7 +114,10 @@ verify-resume:
 # debug server on an ephemeral port, scrape /metrics and /healthz, and
 # assert the routing metric families and the live progress document are
 # there. -debughold keeps the server up after the (short) run so the
-# scrape cannot race its exit.
+# scrape cannot race its exit. Then the paperrepro leg: a quick E3
+# sweep must journal one final per configuration (8) and leave a CPU
+# profile pprof parses, and so must the unknown-experiment error exit
+# (exit 2), whose os.Exit skips deferred calls.
 obs-smoke:
 	@set -e; pid=""; trap 'rm -rf $(OBS_DIR); [ -z "$$pid" ] || kill $$pid 2>/dev/null || true' EXIT; \
 	rm -rf $(OBS_DIR); mkdir -p $(OBS_DIR); \
@@ -140,7 +143,19 @@ obs-smoke:
 	grep -q '^# TYPE routing_shard_enumerate_seconds histogram' $(OBS_DIR)/metrics.txt; \
 	grep -q '^routing_shard_enumerate_seconds_bucket{le="+Inf"} ' $(OBS_DIR)/metrics.txt; \
 	curl -sfo /dev/null "$$url/debug/pprof/"; \
-	echo "obs-smoke: PASS — /metrics and /healthz live on $$url"
+	$(GO) build -o $(OBS_DIR)/paperrepro ./cmd/paperrepro; \
+	$(OBS_DIR)/paperrepro -experiment E3 -quick -journal $(OBS_DIR)/e3.jsonl \
+		-cpuprofile $(OBS_DIR)/e3.pb.gz > $(OBS_DIR)/e3.out; \
+	$(OBS_DIR)/routecheck -summarize $(OBS_DIR)/e3.jsonl > $(OBS_DIR)/e3.summary; \
+	grep -q ', 8 finals,' $(OBS_DIR)/e3.summary \
+		|| { echo "obs-smoke: paperrepro E3 journal does not show 8 finals"; cat $(OBS_DIR)/e3.summary; exit 1; }; \
+	$(GO) tool pprof -raw $(OBS_DIR)/e3.pb.gz > /dev/null \
+		|| { echo "obs-smoke: paperrepro E3 CPU profile does not parse"; exit 1; }; \
+	st=0; $(OBS_DIR)/paperrepro -experiment nope -cpuprofile $(OBS_DIR)/nope.pb.gz 2> $(OBS_DIR)/nope.err || st=$$?; \
+	if [ $$st -ne 2 ]; then echo "obs-smoke: paperrepro -experiment nope exited $$st, want 2"; cat $(OBS_DIR)/nope.err; exit 1; fi; \
+	$(GO) tool pprof -raw $(OBS_DIR)/nope.pb.gz > /dev/null \
+		|| { echo "obs-smoke: paperrepro error-exit CPU profile does not parse"; exit 1; }; \
+	echo "obs-smoke: PASS — /metrics and /healthz live on $$url; paperrepro journal and CPU profiles complete on normal and error exits"
 
 # Verification-service acceptance check, three legs against real
 # daemons on ephemeral ports. Signal leg: SIGTERM a fresh daemon as
@@ -162,9 +177,11 @@ obs-smoke:
 # (the trace ID is persisted with the spec, so the crash and resume
 # legs share one identity). The resumed job's final doc must also
 # carry a populated resources block with legs=2 — cost accounting
-# accumulated across both daemon generations, not reset by the crash —
-# and a manually triggered pprof capture must land in the ring and be
-# retrievable from /debug/captures.
+# accumulated across both daemon generations, not reset by the crash.
+# The restarted daemon must also serve a non-empty heap profile at
+# /debug/pprof/heap, and its first /metrics scrape must carry
+# proc_heap_bytes (the runtime families are sampled on every read, not
+# by a background cadence).
 routed-smoke:
 	@set -e; pids=""; trap 'rm -rf $(ROUTED_DIR); [ -z "$$pids" ] || kill $$pids 2>/dev/null || true' EXIT; \
 	rm -rf $(ROUTED_DIR); mkdir -p $(ROUTED_DIR); \
@@ -226,6 +243,7 @@ routed-smoke:
 		url3=$$(sed -n 's/^routed listening on //p' $(ROUTED_DIR)/d3.err); \
 		[ -n "$$url3" ] && break; i=$$((i+1)); sleep 0.1; done; \
 	if [ -z "$$url3" ]; then echo "routed-smoke: restarted daemon never announced its URL"; cat $(ROUTED_DIR)/d3.err; exit 1; fi; \
+	curl -sf "$$url3/metrics" > $(ROUTED_DIR)/metrics3.txt; \
 	curl -sN "$$url3/jobs/j00000001/events" > $(ROUTED_DIR)/sse.out & pids="$$pids $$!"; \
 	ok=""; i=0; while [ $$i -lt 3600 ]; do \
 		curl -sf "$$url3/jobs/j00000001" > $(ROUTED_DIR)/job4.json; \
@@ -248,16 +266,11 @@ routed-smoke:
 		|| { echo "routed-smoke: resumed job doc lacks accumulated resources (legs 2)"; cat $(ROUTED_DIR)/job4.json; exit 1; }; \
 	grep -q '"wall_sec"' $(ROUTED_DIR)/job4.json && grep -q '"queue_wait_sec"' $(ROUTED_DIR)/job4.json \
 		|| { echo "routed-smoke: resumed job doc has no cost attribution"; cat $(ROUTED_DIR)/job4.json; exit 1; }; \
-	curl -sf -X POST "$$url3/debug/captures?reason=smoke" > $(ROUTED_DIR)/capture.json; \
-	grep -q '"reason": "smoke"' $(ROUTED_DIR)/capture.json \
-		|| { echo "routed-smoke: manual capture trigger failed"; cat $(ROUTED_DIR)/capture.json; exit 1; }; \
-	hf=$$(sed -n 's/^  "heap_file": "\(.*\)",*$$/\1/p' $(ROUTED_DIR)/capture.json); \
-	[ -n "$$hf" ] || { echo "routed-smoke: capture has no heap file"; cat $(ROUTED_DIR)/capture.json; exit 1; }; \
-	curl -sfo $(ROUTED_DIR)/capture.heap "$$url3/debug/captures/$$hf" \
-		|| { echo "routed-smoke: capture heap profile not retrievable"; exit 1; }; \
-	[ -s $(ROUTED_DIR)/capture.heap ] || { echo "routed-smoke: capture heap profile empty"; exit 1; }; \
-	curl -sf "$$url3/debug/captures" | grep -q '"total": 1' \
-		|| { echo "routed-smoke: capture ring does not list the capture"; exit 1; }; \
+	curl -sfo $(ROUTED_DIR)/heap.pb.gz "$$url3/debug/pprof/heap" \
+		|| { echo "routed-smoke: /debug/pprof/heap not served"; exit 1; }; \
+	[ -s $(ROUTED_DIR)/heap.pb.gz ] || { echo "routed-smoke: heap profile empty"; exit 1; }; \
+	grep -q '^proc_heap_bytes [1-9]' $(ROUTED_DIR)/metrics3.txt \
+		|| { echo "routed-smoke: first /metrics scrape of the restarted daemon lacks proc_heap_bytes"; cat $(ROUTED_DIR)/metrics3.txt; exit 1; }; \
 	tr2=$$(sed -n 's/^  "trace": "\(.*\)",*$$/\1/p' $(ROUTED_DIR)/job4.json); \
 	[ -n "$$tr2" ] || { echo "routed-smoke: resumed job has no trace ID"; cat $(ROUTED_DIR)/job4.json; exit 1; }; \
 	$(GO) run ./cmd/routelog $(ROUTED_DIR)/d2.jsonl $(ROUTED_DIR)/d3.jsonl > $(ROUTED_DIR)/routelog.out; \
@@ -267,4 +280,4 @@ routed-smoke:
 		|| { echo "routed-smoke: merged trace has no final"; cat $(ROUTED_DIR)/routelog.out; exit 1; }; \
 	grep -q '^ waterfall:' $(ROUTED_DIR)/routelog.out \
 		|| { echo "routed-smoke: routelog produced no waterfall"; cat $(ROUTED_DIR)/routelog.out; exit 1; }; \
-	echo "routed-smoke: PASS — SIGTERM at the announcement drained cleanly; cache hit served without re-enumeration; crashed job resumed to a byte-identical certificate (polled and streamed) with two-leg cost accounting; capture ring live; routelog merged both legs into one trace"
+	echo "routed-smoke: PASS — SIGTERM at the announcement drained cleanly; cache hit served without re-enumeration; crashed job resumed to a byte-identical certificate (polled and streamed) with two-leg cost accounting; heap profile and proc_* metrics served; routelog merged both legs into one trace"

@@ -21,7 +21,8 @@
 // /metrics (routing and pebble instrument families), a JSON /healthz
 // with the latest per-experiment progress, and /debug/pprof. With
 // -journal, -heartbeat emits heartbeat records carrying the metrics
-// snapshot at that interval.
+// snapshot at that interval. -cpuprofile and -memprofile cover the
+// whole run and are flushed on every exit path, errors included.
 package main
 
 import (
@@ -32,17 +33,15 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"pathrouting/internal/bilinear"
 	"pathrouting/internal/bounds"
 	"pathrouting/internal/cdag"
+	"pathrouting/internal/cli"
 	"pathrouting/internal/core"
 	"pathrouting/internal/expansion"
 	"pathrouting/internal/hall"
@@ -62,20 +61,15 @@ var (
 	csvDir     = flag.String("csvdir", "", "directory to also write machine-readable CSV series")
 	progress   = flag.Bool("progress", false, "print per-worker progress (stderr) during the heavy routing verifications (E3)")
 	orbits     = flag.Bool("orbits", true, "run the E3 verifications on the orbit kernel (bit-identical stats, faster; -orbits=false runs the full-enumeration oracle)")
-	journal    = flag.String("journal", "", "append JSONL run records for the E3 verifications to this file")
 	ckptDir    = flag.String("checkpointdir", "", "run E3 verifications through per-case checkpoint files in this directory")
 	resume     = flag.Bool("resume", false, "with -checkpointdir: skip shards already completed in existing checkpoints")
-	debugAddr  = flag.String("debugaddr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :8080)")
-	heartbeat  = flag.Duration("heartbeat", 30*time.Second, "with -journal: interval between heartbeat records (0 = off)")
-	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (verifier workers carry pprof labels)")
-	memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	sampleEach = flag.Duration("sample", 10*time.Second, "runtime self-telemetry sampling cadence, proc_* metrics (0 = off)")
-	captureDir = flag.String("capturedir", "", "anomaly pprof capture ring directory (enables /debug/captures; empty = off)")
+	obsFlags   = cli.RegisterFlags()
 )
 
-// obsReg collects every instrument family of the process; it backs both
-// the -debugaddr /metrics endpoint and the -journal heartbeats.
-var obsReg = obs.NewRegistry()
+// session is the run's observability state: its registry collects every
+// instrument family of the process and backs both the -debugaddr
+// /metrics endpoint and the -journal heartbeats.
+var session *cli.Session
 
 // pebbleIn instruments the pebble-game simulators of E1/E7/E11
 // (initialized in main, after the registry exists for sure).
@@ -115,33 +109,11 @@ func healthDoc() any {
 	return doc
 }
 
-// journalWriter is the shared (possibly nil — nil is a valid no-op
-// sink) run journal, opened lazily on first use.
-var (
-	journalW    *runlog.Writer
-	journalOnce sync.Once
-)
-
-func journalWriter() *runlog.Writer {
-	journalOnce.Do(func() {
-		if *journal == "" {
-			return
-		}
-		w, err := runlog.Open(*journal)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "journal:", err)
-			return
-		}
-		journalW = w
-	})
-	return journalW
-}
-
 // progressPrinter returns a concurrency-safe routing.Progress callback
 // feeding /healthz (and stderr with -progress), or nil when neither
 // consumer is active.
 func progressPrinter(tag string) func(routing.Progress) {
-	if !*progress && *debugAddr == "" {
+	if !*progress && obsFlags.DebugAddr == "" {
 		return nil
 	}
 	var mu sync.Mutex
@@ -199,65 +171,12 @@ func csvOut(name string, header []string, rows [][]string) {
 
 func main() {
 	flag.Parse()
-	defer func() { journalW.Close() }() // nil-safe; only non-nil once e3 opened it
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	var err error
+	if session, err = cli.Start(obsFlags, runlog.Record{Tool: "paperrepro"}, healthDoc); err != nil {
+		session.Fail(err)
 	}
-	if *memProfile != "" {
-		defer func() {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-		}()
-	}
-	pebbleIn = pebble.NewInstruments(obsReg)
-	// Runtime self-telemetry (proc_* families) plus, with -capturedir,
-	// the anomaly-triggered pprof capture ring under /debug/captures.
-	var prof *obs.Profiler
-	if *captureDir != "" {
-		p, err := obs.NewProfiler(obs.ProfilerConfig{
-			Dir:                   *captureDir,
-			HeapGrowthBytesPerSec: 1 << 30,
-			GCPauseP99Seconds:     0.5,
-			Registry:              obsReg,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		prof = p
-	}
-	sampler := obs.StartRuntimeSampler(obsReg, *sampleEach, prof.Consider)
-	defer sampler.Stop()
-	if *debugAddr != "" {
-		srv, err := obs.StartServerMux(*debugAddr, obsReg, healthDoc, prof.Mount)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "debug server listening on %s\n", srv.URL())
-	}
-	if jw := journalWriter(); jw != nil && *heartbeat > 0 {
-		stop := obs.StartHeartbeat(jw, runlog.Record{Tool: "paperrepro"}, obsReg, *heartbeat)
-		defer stop()
-	}
+	defer session.Close()
+	pebbleIn = pebble.NewInstruments(session.Reg)
 	runs := map[string]func(){
 		"E1": e1, "E2": e2, "E3": e3, "E4": e4, "E5": e5, "E6": e6,
 		"E7": e7, "E8": e8, "E9": e9, "E10": e10, "E11": e11, "E12": e12,
@@ -282,7 +201,7 @@ func main() {
 	run, ok := runs[strings.ToUpper(*experiment)]
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *experiment)
-		os.Exit(2)
+		session.Exit(2)
 	}
 	run()
 }
@@ -293,8 +212,7 @@ func header(id, title string) {
 
 func must[T any](v T, err error) T {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "error:", err)
-		os.Exit(1)
+		session.Fail(err)
 	}
 	return v
 }
@@ -429,41 +347,16 @@ func e3() {
 		r := must(routing.NewRouter(g))
 		r.OrbitReduction = *orbits
 		r.Progress = progressPrinter(fmt.Sprintf("E3 %s k=%d", c.alg.Name, c.k))
-		jw := journalWriter()
-		// One trace per E3 configuration run, so routelog reconstructs
-		// each A-series waterfall from the journal.
-		trace := obs.NewTraceID()
-		r.Obs = routing.NewInstruments(obsReg)
-		r.Obs.Tracer = obs.NewTracer(jw, runlog.Record{Tool: "paperrepro", Alg: c.alg.Name, K: c.k, Trace: trace})
-		emit := func(rec runlog.Record) {
-			rec.Tool, rec.Alg, rec.K = "paperrepro", c.alg.Name, c.k
-			rec.Trace = trace
-			if err := jw.Emit(rec); err != nil {
-				fmt.Fprintln(os.Stderr, "journal:", err)
-			}
-		}
-		emit(runlog.Record{Event: runlog.EventRunStart, Resumed: *resume})
 		// Without -checkpointdir the run stays in memory.
-		cfg := routing.CheckpointConfig{
-			OnShard: func(d routing.ShardDone) {
-				emit(runlog.Record{Event: runlog.EventShardDone,
-					Shard: d.Shard, ShardsDone: d.Done, ShardsTotal: d.Total, ShardPaths: d.Paths})
-			},
-		}
+		var cfg routing.CheckpointConfig
 		if *ckptDir != "" {
 			cfg.Path = filepath.Join(*ckptDir, fmt.Sprintf("e3-%s-k%d.ckpt", c.alg.Name, c.k))
 			cfg.Resume = *resume
 		}
-		st, err := r.VerifyFullRoutingCheckpointed(0, cfg)
-		if err != nil {
-			emit(runlog.Record{Event: runlog.EventViolation, Error: err.Error()})
-		}
-		st = must(st, err)
-		rec := runlog.Record{Event: runlog.EventFinal, Paths: st.NumPaths,
-			TotalHits: st.TotalHits, MaxVertexHits: st.MaxVertexHits, MaxMetaHits: st.MaxMetaHits,
-			Bound: st.Bound, AdjChecked: st.AdjacencyChecked,
-			ElapsedSec: st.Elapsed.Seconds(), PathsPerSec: st.PathsPerSecond(), Resumed: *resume}
-		emit(rec)
+		// One trace per E3 configuration run, so routelog reconstructs
+		// each A-series waterfall from the journal.
+		base := runlog.Record{Tool: "paperrepro", Alg: c.alg.Name, K: c.k, Trace: obs.NewTraceID()}
+		st := must(session.VerifyFullRouting(r, base, 0, cfg))
 		fmt.Printf("%-16s %-3d %-10d %-10d %-10d %-12d %-8.3f %8.3g paths/s\n",
 			c.alg.Name, c.k, st.NumPaths, st.MaxVertexHits, st.MaxMetaHits, st.Bound,
 			float64(st.MaxVertexHits)/float64(st.Bound), st.PathsPerSecond())

@@ -10,7 +10,7 @@
 //	           [-workers 0] [-orbits=true] [-progress] [-adjstride 0]
 //	           [-checkpoint run.ckpt] [-resume] [-shardrows 0] [-maxshards 0]
 //	           [-journal run.jsonl] [-debugaddr :8080] [-debughold 0]
-//	           [-heartbeat 30s] [-sample 10s] [-capturedir DIR]
+//	           [-heartbeat 30s]
 //	           [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
 //	routecheck -summarize run.jsonl
 //
@@ -34,9 +34,8 @@
 // runs can still be scraped. With -journal, -heartbeat emits a
 // heartbeat record carrying the metrics snapshot — and, since schema
 // 4, a compact resource snapshot (heap, goroutines, GC pauses, CPU) —
-// at that interval. -sample sets the runtime self-telemetry cadence
-// (the proc_* metric families); -capturedir enables anomaly-triggered
-// pprof captures into a bounded ring served at /debug/captures.
+// at that interval. The runtime self-telemetry families (proc_*) are
+// read fresh on every /metrics scrape and heartbeat.
 //
 // -cpuprofile and -memprofile write pprof profiles covering the whole
 // run (flushed on every exit path, including verification failure and
@@ -50,14 +49,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"sync"
-	"time"
 
 	"pathrouting/internal/bilinear"
 	"pathrouting/internal/cdag"
+	"pathrouting/internal/cli"
 	"pathrouting/internal/obs"
 	"pathrouting/internal/routing"
 	"pathrouting/internal/runlog"
@@ -75,60 +72,14 @@ var (
 	resume     = flag.Bool("resume", false, "with -checkpoint: skip shards already completed in the checkpoint file")
 	shardRows  = flag.Int64("shardrows", 0, "enumeration rows per shard of the full routing (0 = ~1M paths per shard, at least one shard per worker)")
 	maxShards  = flag.Int64("maxshards", 0, "with -checkpoint: stop after N new shards, exit 3 (0 = run to completion)")
-	journal    = flag.String("journal", "", "append JSONL run records to this file")
 	summarize  = flag.String("summarize", "", "summarize a JSONL journal and exit")
-	debugAddr  = flag.String("debugaddr", "", "serve /metrics, /healthz and /debug/pprof on this address (e.g. :8080)")
 	debugHold  = flag.Duration("debughold", 0, "with -debugaddr: keep the debug server up this long after the run")
-	heartbeat  = flag.Duration("heartbeat", 30*time.Second, "with -journal: interval between heartbeat records (0 = off)")
-	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (verifier workers carry pprof labels)")
-	memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-	sampleEach = flag.Duration("sample", 10*time.Second, "runtime self-telemetry sampling cadence, proc_* metrics (0 = off)")
-	captureDir = flag.String("capturedir", "", "anomaly pprof capture ring directory (enables /debug/captures; empty = off)")
+	obsFlags   = cli.RegisterFlags()
 )
 
-// profileStop flushes at most once: every exit path (normal return,
-// fail, the paused os.Exit) funnels through stopProfiles, and the
-// paths overlap (fail after the deferred stop is armed).
-var profileStop sync.Once
-
-// startProfiles begins CPU profiling per the flags. The matching
-// stopProfiles must run on every exit, including the os.Exit paths
-// that skip defers, or the profile file is left truncated.
-func startProfiles() {
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fail(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail(err)
-		}
-	}
-}
-
-// stopProfiles flushes the CPU profile and writes the heap profile.
-func stopProfiles() {
-	profileStop.Do(func() {
-		if *cpuProfile != "" {
-			pprof.StopCPUProfile()
-		}
-		if *memProfile != "" {
-			f, err := os.Create(*memProfile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-				return
-			}
-			runtime.GC() // settle the heap so the profile shows live objects
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "memprofile:", err)
-			}
-			f.Close()
-		}
-	})
-}
-
-// debugSrv is the optional debug HTTP server (nil without -debugaddr).
-var debugSrv *obs.Server
+// session is the run's observability state (nil until main starts
+// it, and for -summarize).
+var session *cli.Session
 
 // health aggregates the live run state served by /healthz.
 var health = &healthState{workers: map[int]routing.Progress{}}
@@ -216,24 +167,11 @@ func chainProgress(cbs ...func(routing.Progress)) func(routing.Progress) {
 	}
 }
 
-// holdDebug parks the process so the debug server outlives a short run
-// long enough to be scraped (make obs-smoke relies on this).
-func holdDebug() {
-	if debugSrv != nil && *debugHold > 0 {
-		fmt.Fprintf(os.Stderr, "debug server held for %v\n", *debugHold)
-		time.Sleep(*debugHold)
-	}
-}
-
 // exitPaused signals an intentionally incomplete checkpointed run,
 // distinguishable from verification failure (1) in scripts.
 const exitPaused = 3
 
-func fail(err error) {
-	stopProfiles()
-	fmt.Fprintln(os.Stderr, "error:", err)
-	os.Exit(1)
-}
+func fail(err error) { session.Fail(err) }
 
 func main() {
 	flag.Parse()
@@ -245,8 +183,6 @@ func main() {
 		fmt.Print(s.Format())
 		return
 	}
-	startProfiles()
-	defer stopProfiles()
 	var alg *bilinear.Algorithm
 	for _, a := range bilinear.All() {
 		if a.Name == *algName {
@@ -256,63 +192,21 @@ func main() {
 	if alg == nil {
 		fail(fmt.Errorf("unknown algorithm %q", *algName))
 	}
-	g, err := cdag.New(alg, *k)
-	if err != nil {
-		fail(err)
-	}
-
-	var jw *runlog.Writer // nil journal is a no-op sink
-	if *journal != "" {
-		jw, err = runlog.Open(*journal)
-		if err != nil {
-			fail(err)
-		}
-		defer jw.Close()
-	}
 	// Every run gets a trace ID so its journal records — spans,
 	// heartbeats, shard completions — group under one identity for
 	// routelog, same as routed's service jobs.
 	base := runlog.Record{Tool: "routecheck", Alg: alg.Name, K: *k, Workers: *workers,
 		Trace: obs.NewTraceID()}
-	emit := func(rec runlog.Record) {
-		rec.Tool, rec.Alg, rec.K, rec.Workers = base.Tool, base.Alg, base.K, base.Workers
-		rec.Trace = base.Trace
-		if err := jw.Emit(rec); err != nil {
-			fmt.Fprintln(os.Stderr, "journal:", err)
-		}
+	obsFlags.DebugHold = *debugHold
+	var err error
+	if session, err = cli.Start(obsFlags, base, health.snapshot); err != nil {
+		fail(err)
 	}
-
-	reg := obs.NewRegistry()
-	// Runtime self-telemetry plus (with -capturedir) the anomaly
-	// profiler: the sampler's snapshots feed the capture thresholds,
-	// and a tripped threshold lands a pprof capture in the ring.
-	var prof *obs.Profiler
-	if *captureDir != "" {
-		prof, err = obs.NewProfiler(obs.ProfilerConfig{
-			Dir:                   *captureDir,
-			HeapGrowthBytesPerSec: 1 << 30,
-			GCPauseP99Seconds:     0.5,
-			Registry:              reg,
-		})
-		if err != nil {
-			fail(err)
-		}
+	defer session.Close()
+	g, err := cdag.New(alg, *k)
+	if err != nil {
+		fail(err)
 	}
-	sampler := obs.StartRuntimeSampler(reg, *sampleEach, prof.Consider)
-	defer sampler.Stop()
-	if *debugAddr != "" {
-		debugSrv, err = obs.StartServerMux(*debugAddr, reg, health.snapshot, prof.Mount)
-		if err != nil {
-			fail(err)
-		}
-		defer debugSrv.Close()
-		fmt.Fprintf(os.Stderr, "debug server listening on %s\n", debugSrv.URL())
-	}
-	if jw != nil && *heartbeat > 0 {
-		stop := obs.StartHeartbeat(jw, base, reg, *heartbeat)
-		defer stop()
-	}
-	defer holdDebug()
 
 	var st routing.Stats
 	switch *which {
@@ -323,23 +217,18 @@ func main() {
 		}
 		r.AdjacencySampleStride = *adjStride
 		r.OrbitReduction = *orbits
-		r.Obs = routing.NewInstruments(reg)
-		r.Obs.Tracer = obs.NewTracer(jw, base)
 		var printer func(routing.Progress)
 		if *progress {
 			printer = progressPrinter()
 		}
 		r.Progress = chainProgress(printer, health.onProgress)
-		emit(runlog.Record{Event: runlog.EventRunStart, Resumed: *resume})
-		st, err = r.VerifyFullRoutingCheckpointed(*workers, routing.CheckpointConfig{
+		st, err = session.VerifyFullRouting(r, base, *workers, routing.CheckpointConfig{
 			Path:      *checkpoint,
 			ShardRows: *shardRows,
 			MaxShards: *maxShards,
 			Resume:    *resume,
 			OnShard: func(d routing.ShardDone) {
 				health.onShard(d)
-				emit(runlog.Record{Event: runlog.EventShardDone,
-					Shard: d.Shard, ShardsDone: d.Done, ShardsTotal: d.Total, ShardPaths: d.Paths})
 				if *progress {
 					fmt.Fprintf(os.Stderr, "shard %d done (%d paths), %d/%d complete\n",
 						d.Shard, d.Paths, d.Done, d.Total)
@@ -348,17 +237,12 @@ func main() {
 		})
 		switch {
 		case errors.Is(err, routing.ErrPaused):
-			emit(finalRecord(st, *resume, true))
 			fmt.Printf("PAUSED: %v\n", err)
 			fmt.Printf("rerun with -resume to continue; partial stats: %s\n", st)
-			holdDebug() // os.Exit skips the deferred hold
-			stopProfiles()
-			os.Exit(exitPaused)
+			session.Exit(exitPaused)
 		case err != nil:
-			emit(runlog.Record{Event: runlog.EventViolation, Error: err.Error()})
 			fail(err)
 		}
-		emit(finalRecord(st, *resume, false))
 		if err := r.VerifyChainUsage(); err != nil {
 			fail(err)
 		}
@@ -401,26 +285,6 @@ func main() {
 func printStatsLine(st routing.Stats) {
 	fmt.Printf("stats: paths=%d totalHits=%d maxVertexHits=%d maxMetaHits=%d bound=%d adjChecked=%d\n",
 		st.NumPaths, st.TotalHits, st.MaxVertexHits, st.MaxMetaHits, st.Bound, st.AdjacencyChecked)
-}
-
-// finalRecord converts Stats to the journal's final-event record.
-func finalRecord(st routing.Stats, resumed, paused bool) runlog.Record {
-	rec := runlog.Record{
-		Event:         runlog.EventFinal,
-		Paths:         st.NumPaths,
-		TotalHits:     st.TotalHits,
-		MaxVertexHits: st.MaxVertexHits,
-		MaxMetaHits:   st.MaxMetaHits,
-		Bound:         st.Bound,
-		AdjChecked:    st.AdjacencyChecked,
-		ElapsedSec:    st.Elapsed.Seconds(),
-		Resumed:       resumed,
-		Paused:        paused,
-	}
-	if st.Elapsed > 0 {
-		rec.PathsPerSec = float64(st.NumPaths) / st.Elapsed.Seconds()
-	}
-	return rec
 }
 
 // progressPrinter returns a concurrency-safe routing.Progress callback

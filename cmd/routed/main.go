@@ -11,8 +11,7 @@
 //
 //	routed [-addr :7607] [-datadir routed-data] [-queue 64]
 //	       [-jobs 1] [-jobworkers 0] [-maxk 6]
-//	       [-journal routed.jsonl] [-heartbeat 30s] [-sample 10s]
-//	       [-capturedir DIR] [-captures 8] [-heapgrowth N] [-gcpause 500ms]
+//	       [-journal routed.jsonl] [-heartbeat 30s]
 //	       [-draintimeout 30s] [-crashaftershards 0]
 //
 // The service core (internal/serve) gives repeated traffic three
@@ -32,13 +31,10 @@
 // completions, heartbeats (with -heartbeat), engine spans, and final
 // stats under that trace.
 //
-// The daemon watches itself: a runtime sampler publishes the proc_*
-// metric families (heap, GC pauses, goroutines, CPU) every -sample
-// and stamps a resource snapshot onto heartbeat journal records; an
-// anomaly profiler captures pprof heap+CPU profiles into a bounded
-// ring under -capturedir (default <datadir>/captures) when the heap
-// grows faster than -heapgrowth bytes/sec, GC pause p99 exceeds
-// -gcpause, or the job queue fills — browsable at /debug/captures.
+// The daemon watches itself: the proc_* metric families (heap, GC
+// pauses, goroutines, CPU) are read fresh on every /metrics scrape and
+// heartbeat, and every heartbeat journal record carries a resource
+// snapshot; /debug/pprof serves heap and CPU profiles on demand.
 // Every job's doc carries a resources block (wall, queue-wait, CPU,
 // allocated bytes, paths/s) accumulated across crash/resume legs;
 // `routelog -resources` rebuilds the same table from the journal.
@@ -59,10 +55,8 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -84,11 +78,6 @@ var (
 	heartbeat    = flag.Duration("heartbeat", 30*time.Second, "per-job heartbeat cadence, journal records and SSE events (0 = off)")
 	drainTimeout = flag.Duration("draintimeout", 30*time.Second, "graceful-shutdown deadline on SIGINT/SIGTERM")
 	crashAfter   = flag.Int64("crashaftershards", 0, "failpoint: exit hard after N shard completions (0 = off)")
-	sample       = flag.Duration("sample", 10*time.Second, "runtime self-telemetry sampling cadence, proc_* metrics (0 = off)")
-	captureDir   = flag.String("capturedir", "", "anomaly pprof capture ring directory (default <datadir>/captures)")
-	captures     = flag.Int("captures", 8, "anomaly pprof capture ring size")
-	heapGrowth   = flag.Int64("heapgrowth", 1<<30, "capture trigger: heap growth rate in bytes/sec (0 = off)")
-	gcPause      = flag.Duration("gcpause", 500*time.Millisecond, "capture trigger: sampled GC pause p99 (0 = off)")
 )
 
 func fail(err error) {
@@ -103,6 +92,7 @@ func main() {
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	reg := obs.NewRegistry()
+	obs.RegisterRuntimeMetrics(reg)
 
 	var jw *runlog.Writer
 	if *journalPath != "" {
@@ -143,32 +133,7 @@ func main() {
 		fail(err)
 	}
 
-	// Anomaly-triggered profiling: the runtime sampler feeds every
-	// snapshot through the profiler's thresholds (plus the serving
-	// layer's queue depth, which the runtime cannot see); trips land
-	// pprof captures in a bounded on-disk ring under /debug/captures.
-	capDir := *captureDir
-	if capDir == "" {
-		capDir = filepath.Join(*dataDir, "captures")
-	}
-	prof, err := obs.NewProfiler(obs.ProfilerConfig{
-		Dir:                   capDir,
-		MaxCaptures:           *captures,
-		HeapGrowthBytesPerSec: float64(*heapGrowth),
-		GCPauseP99Seconds:     gcPause.Seconds(),
-		QueueDepth:            s.QueueLen,
-		QueueLimit:            *queueDepth,
-		Registry:              reg,
-	})
-	if err != nil {
-		fail(err)
-	}
-	sampler := obs.StartRuntimeSampler(reg, *sample, prof.Consider)
-
-	srv, err := obs.StartServerMux(*addr, reg, s.Health, func(mux *http.ServeMux) {
-		s.Mount(mux)
-		prof.Mount(mux)
-	})
+	srv, err := obs.StartServerMux(*addr, reg, s.Health, s.Mount)
 	if err != nil {
 		fail(err)
 	}
@@ -197,6 +162,4 @@ func main() {
 	if err := s.Shutdown(ctx); err != nil {
 		fail(err)
 	}
-	sampler.Stop()
-	prof.Close()
 }

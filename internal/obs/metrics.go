@@ -29,8 +29,9 @@ import (
 // individual metric types are lock-free atomics, so updating them from
 // many verification workers costs one atomic op.
 type Registry struct {
-	mu      sync.Mutex
-	metrics map[string]metric
+	mu         sync.Mutex
+	metrics    map[string]metric
+	beforeRead func() // refreshes on-read families (see RegisterRuntimeMetrics)
 }
 
 // NewRegistry returns an empty registry.
@@ -101,24 +102,43 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 	return have
 }
 
-// WriteTo renders every registered metric in the Prometheus text
-// exposition format (version 0.0.4), sorted by name so output is
-// deterministic and diffable.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
+// setBeforeRead installs f as the pre-read hook WriteTo and Snapshot
+// run before reading any value.
+func (r *Registry) setBeforeRead(f func()) {
 	r.mu.Lock()
+	r.beforeRead = f
+	r.mu.Unlock()
+}
+
+// read runs the pre-read hook, then returns every registered metric,
+// sorted by name.
+func (r *Registry) read() []metric {
+	r.mu.Lock()
+	hook := r.beforeRead
+	r.mu.Unlock()
+	if hook != nil {
+		hook()
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	names := make([]string, 0, len(r.metrics))
 	for name := range r.metrics {
 		names = append(names, name)
 	}
-	ms := make([]metric, 0, len(names))
 	sort.Strings(names)
+	ms := make([]metric, 0, len(names))
 	for _, name := range names {
 		ms = append(ms, r.metrics[name])
 	}
-	r.mu.Unlock()
+	return ms
+}
 
+// WriteTo renders every registered metric in the Prometheus text
+// exposition format (version 0.0.4), sorted by name so output is
+// deterministic and diffable.
+func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
-	for _, m := range ms {
+	for _, m := range r.read() {
 		if err := m.write(cw); err != nil {
 			return cw.n, err
 		}
@@ -130,12 +150,7 @@ func (r *Registry) WriteTo(w io.Writer) (int64, error) {
 // metric name (histograms contribute name_count and name_sum). This is
 // what heartbeat records carry into the journal.
 func (r *Registry) Snapshot() map[string]float64 {
-	r.mu.Lock()
-	ms := make([]metric, 0, len(r.metrics))
-	for _, m := range r.metrics {
-		ms = append(ms, m)
-	}
-	r.mu.Unlock()
+	ms := r.read()
 	snap := make(map[string]float64, 2*len(ms))
 	for _, m := range ms {
 		m.snapshot(snap)

@@ -1,12 +1,12 @@
 package obs
 
 // Runtime self-telemetry: a runtime/metrics-backed sampler that
-// periodically publishes the process's own resource state — heap
-// bytes, GC pause quantiles, goroutine count, scheduler latency,
-// cumulative CPU and allocation — into the metrics registry as the
-// proc_* families, and a one-shot ReadResources the job-accounting
-// layer (internal/serve, routing.RunJob) uses to measure what one
-// verification actually cost. The paper accounts I/O per schedule
+// publishes the process's own resource state — heap bytes, GC pause
+// quantiles, goroutine count, scheduler latency, cumulative CPU and
+// allocation — into the metrics registry as the proc_* families
+// whenever the registry is read, and a one-shot ReadResources the
+// job-accounting layer (internal/serve, routing.RunJob) uses to
+// measure what one verification actually cost. The paper accounts I/O per schedule
 // segment; this file accounts the verifier per job.
 
 import (
@@ -212,13 +212,13 @@ func bucketValue(edges []float64, i int) float64 {
 
 func isInf(v float64) bool { return v > 1e300 || v < -1e300 }
 
-// A RuntimeSampler periodically reads the runtime's own metrics and
-// publishes them as the proc_* families, computes the heap growth
-// rate between samples, republishes new GC pauses into a real
-// histogram, and hands each snapshot to an optional hook (the anomaly
-// profiler's trigger check). Nil-safe: a nil sampler ignores every
-// call, so wiring is unconditional.
-type RuntimeSampler struct {
+// A runtimeSampler publishes the runtime's own metrics as the proc_*
+// families of one registry. It runs no goroutine: it is the registry's
+// pre-read hook, so every /metrics scrape and heartbeat snapshot
+// carries a reading taken at that moment. Between consecutive reads it
+// computes the heap growth rate and republishes the new GC pauses into
+// a real histogram.
+type runtimeSampler struct {
 	heap        *Gauge
 	goroutines  *Gauge
 	uptime      *Gauge
@@ -232,26 +232,16 @@ type RuntimeSampler struct {
 	allocBytes  *Counter
 	gcPauseHist *Histogram
 
-	onSample func(ResourceSnapshot)
-
-	mu        sync.Mutex
-	last      ResourceSnapshot
-	haveLast  bool
-	rate      float64 // heap growth bytes/sec between the last two samples
-	prevGC    *metrics.Float64Histogram
-	done      chan struct{}
-	wg        sync.WaitGroup
-	stopOnce  sync.Once
-	startOnce sync.Once
+	mu       sync.Mutex
+	last     ResourceSnapshot
+	haveLast bool
+	prevGC   *metrics.Float64Histogram
 }
 
-// NewRuntimeSampler registers the proc_* metric families on reg and
-// returns an idle sampler; call Start to begin periodic sampling, or
-// Sample for on-demand readings. onSample, when non-nil, receives
-// every snapshot (periodic and on-demand) — the anomaly profiler
-// hooks in here.
-func NewRuntimeSampler(reg *Registry, onSample func(ResourceSnapshot)) *RuntimeSampler {
-	return &RuntimeSampler{
+// RegisterRuntimeMetrics registers the proc_* metric families on reg
+// and refreshes them whenever reg is read (WriteTo or Snapshot).
+func RegisterRuntimeMetrics(reg *Registry) {
+	s := &runtimeSampler{
 		heap: reg.Gauge("proc_heap_bytes",
 			"live heap object bytes at the last runtime sample"),
 		goroutines: reg.Gauge("proc_goroutines",
@@ -277,74 +267,18 @@ func NewRuntimeSampler(reg *Registry, onSample func(ResourceSnapshot)) *RuntimeS
 		gcPauseHist: reg.Histogram("proc_gc_pause_seconds",
 			"GC pause durations (republished from runtime/metrics per sample)",
 			GCPauseBuckets),
-		onSample: onSample,
 	}
+	reg.setBeforeRead(s.sample)
 }
 
 // GCPauseBuckets spans the plausible stop-the-world range: 10µs
 // (healthy sub-ms pauses) to 1s (a badly overloaded heap).
 var GCPauseBuckets = []float64{1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3, 0.025, 0.1, 0.5, 1}
 
-// StartRuntimeSampler is the one-call wiring: register the proc_*
-// families on reg and begin sampling every interval until the
-// returned sampler's Stop. A nil registry or non-positive interval
-// yields a nil (no-op) sampler.
-func StartRuntimeSampler(reg *Registry, interval time.Duration, onSample func(ResourceSnapshot)) *RuntimeSampler {
-	if reg == nil || interval <= 0 {
-		return nil
-	}
-	s := NewRuntimeSampler(reg, onSample)
-	s.Start(interval)
-	return s
-}
-
-// Start launches the periodic sampling goroutine. Idempotent; safe on
-// nil.
-func (s *RuntimeSampler) Start(interval time.Duration) {
-	if s == nil || interval <= 0 {
-		return
-	}
-	s.startOnce.Do(func() {
-		s.done = make(chan struct{})
-		s.Sample() // baseline immediately, so growth rates have an anchor
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			t := time.NewTicker(interval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					s.Sample()
-				case <-s.done:
-					return
-				}
-			}
-		}()
-	})
-}
-
-// Stop halts periodic sampling (on-demand Sample keeps working).
-// Idempotent; safe on nil.
-func (s *RuntimeSampler) Stop() {
-	if s == nil {
-		return
-	}
-	s.stopOnce.Do(func() {
-		if s.done != nil {
-			close(s.done)
-		}
-		s.wg.Wait()
-	})
-}
-
-// Sample takes a snapshot, publishes it into the proc_* families,
-// updates the growth rate, and invokes the hook. Safe on nil (returns
-// a plain ReadResources so callers always get a snapshot).
-func (s *RuntimeSampler) Sample() ResourceSnapshot {
-	if s == nil {
-		return ReadResources()
-	}
+// sample takes a snapshot and publishes it into the proc_* families.
+// The whole publication happens under s.mu, so concurrent reads of the
+// registry publish their snapshots in order.
+func (s *runtimeSampler) sample() {
 	// Re-read the GC pause histogram alongside the scalar snapshot so
 	// bucket deltas and quantiles come from the same read.
 	pauses := []metrics.Sample{{Name: mGCPauses}}
@@ -352,15 +286,17 @@ func (s *RuntimeSampler) Sample() ResourceSnapshot {
 	snap := ReadResources()
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.haveLast {
 		if dt := snap.Time.Sub(s.last.Time).Seconds(); dt > 0 {
-			s.rate = float64(snap.HeapBytes-s.last.HeapBytes) / dt
+			s.heapGrowth.Set(float64(snap.HeapBytes-s.last.HeapBytes) / dt)
 		}
 		s.gcCycles.Add(max(0, snap.GCCycles-s.last.GCCycles))
 		s.allocBytes.Add(max(0, snap.AllocBytes-s.last.AllocBytes))
 	} else {
-		// First sample credits the pre-sampler history, so the counters
-		// read as cumulative-since-start like their runtime sources.
+		// The first sample credits the history before it, so the
+		// counters read as cumulative-since-start like their runtime
+		// sources.
 		s.gcCycles.Add(snap.GCCycles)
 		s.allocBytes.Add(snap.AllocBytes)
 	}
@@ -368,28 +304,21 @@ func (s *RuntimeSampler) Sample() ResourceSnapshot {
 		s.republishPausesLocked(cur)
 	}
 	s.last, s.haveLast = snap, true
-	rate := s.rate
-	s.mu.Unlock()
 
 	s.heap.SetInt(snap.HeapBytes)
 	s.goroutines.SetInt(snap.Goroutines)
 	s.uptime.Set(snap.Uptime)
 	s.cpuSeconds.Set(snap.CPUSeconds)
-	s.heapGrowth.Set(rate)
 	s.gcPauseP50.Set(snap.GCPauseP50)
 	s.gcPauseP99.Set(snap.GCPauseP99)
 	s.schedLatP50.Set(snap.SchedLatP50)
 	s.schedLatP99.Set(snap.SchedLatP99)
-	if s.onSample != nil {
-		s.onSample(snap)
-	}
-	return snap
 }
 
 // republishPausesLocked folds the new GC pauses since the previous
 // sample (bucket-count deltas of the cumulative runtime histogram)
 // into the proc_gc_pause_seconds histogram. s.mu must be held.
-func (s *RuntimeSampler) republishPausesLocked(cur *metrics.Float64Histogram) {
+func (s *runtimeSampler) republishPausesLocked(cur *metrics.Float64Histogram) {
 	if s.prevGC != nil && len(s.prevGC.Counts) == len(cur.Counts) {
 		for i, c := range cur.Counts {
 			if d := c - s.prevGC.Counts[i]; d > 0 && d < 1<<62 {
@@ -398,31 +327,8 @@ func (s *RuntimeSampler) republishPausesLocked(cur *metrics.Float64Histogram) {
 		}
 	}
 	// Deep-copy: the runtime may reuse the sample's backing arrays.
-	prev := &metrics.Float64Histogram{
+	s.prevGC = &metrics.Float64Histogram{
 		Counts:  append([]uint64(nil), cur.Counts...),
 		Buckets: append([]float64(nil), cur.Buckets...),
 	}
-	s.prevGC = prev
-}
-
-// Last returns the most recent snapshot (zero before the first
-// Sample; safe on nil).
-func (s *RuntimeSampler) Last() ResourceSnapshot {
-	if s == nil {
-		return ResourceSnapshot{}
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last
-}
-
-// HeapGrowthRate returns the heap growth in bytes/second between the
-// last two samples (0 before two samples exist; safe on nil).
-func (s *RuntimeSampler) HeapGrowthRate() float64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.rate
 }

@@ -53,16 +53,11 @@ func TestProcessInfo(t *testing.T) {
 	}
 }
 
-// TestRuntimeSamplerPublishes: one Sample populates every proc_*
-// family in the exposition, and the hook sees the snapshot.
+// TestRuntimeSamplerPublishes: a registry read populates every proc_*
+// family in the exposition.
 func TestRuntimeSamplerPublishes(t *testing.T) {
 	reg := NewRegistry()
-	var hooked ResourceSnapshot
-	s := NewRuntimeSampler(reg, func(snap ResourceSnapshot) { hooked = snap })
-	snap := s.Sample()
-	if hooked.HeapBytes != snap.HeapBytes {
-		t.Fatalf("hook snapshot %+v != returned %+v", hooked, snap)
-	}
+	RegisterRuntimeMetrics(reg)
 	var out strings.Builder
 	if _, err := reg.WriteTo(&out); err != nil {
 		t.Fatal(err)
@@ -79,30 +74,45 @@ func TestRuntimeSamplerPublishes(t *testing.T) {
 			t.Fatalf("exposition missing %s:\n%s", family, text)
 		}
 	}
-	if s.Last().HeapBytes != snap.HeapBytes {
-		t.Fatalf("Last() = %+v, want %+v", s.Last(), snap)
+	if strings.Contains(text, "\nproc_heap_bytes 0\n") {
+		t.Fatalf("proc_heap_bytes not sampled on read:\n%s", text)
 	}
 }
 
-// TestRuntimeSamplerRace: a running sampler, concurrent on-demand
-// Sample calls, and concurrent registry scrapes must be clean under
-// the race detector — the sampler publishes into the same registry
-// the debug server scrapes.
+// sink keeps the allocations of TestRuntimeMetricsRefreshOnRead live.
+var sink [][]byte
+
+// TestRuntimeMetricsRefreshOnRead: with no sampling goroutine, each
+// Snapshot publishes a fresh reading — allocation between two reads
+// shows up in proc_alloc_bytes_total.
+func TestRuntimeMetricsRefreshOnRead(t *testing.T) {
+	reg := NewRegistry()
+	RegisterRuntimeMetrics(reg)
+	before := reg.Snapshot()["proc_alloc_bytes_total"]
+	for i := 0; i < 64; i++ {
+		sink = append(sink, make([]byte, 64<<10))
+	}
+	after := reg.Snapshot()["proc_alloc_bytes_total"]
+	sink = nil
+	if before <= 0 || after < before+64*(64<<10) {
+		t.Fatalf("proc_alloc_bytes_total %v -> %v across 4 MiB of allocation", before, after)
+	}
+}
+
+// TestRuntimeSamplerRace: concurrent scrapes and snapshots of a
+// registry carrying the runtime families must be clean under the race
+// detector — each read runs the sampler, and the debug server and the
+// heartbeat read the same registry at once.
 func TestRuntimeSamplerRace(t *testing.T) {
 	reg := NewRegistry()
-	s := StartRuntimeSampler(reg, time.Millisecond, nil)
-	if s == nil {
-		t.Fatal("StartRuntimeSampler returned nil for a valid config")
-	}
+	RegisterRuntimeMetrics(reg)
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				s.Sample()
-				s.HeapGrowthRate()
-				s.Last()
+				reg.Snapshot()
 			}
 		}()
 		go func() {
@@ -110,33 +120,10 @@ func TestRuntimeSamplerRace(t *testing.T) {
 			for j := 0; j < 20; j++ {
 				var out strings.Builder
 				reg.WriteTo(&out)
-				reg.Snapshot()
 			}
 		}()
 	}
 	wg.Wait()
-	s.Stop()
-	s.Stop() // idempotent
-}
-
-// TestSamplerNilSafe: the nil sampler contract daemons rely on for
-// unconditional wiring.
-func TestSamplerNilSafe(t *testing.T) {
-	var s *RuntimeSampler
-	s.Start(time.Second)
-	if snap := s.Sample(); snap.HeapBytes <= 0 {
-		t.Fatalf("nil Sample should fall back to ReadResources, got %+v", snap)
-	}
-	if s.HeapGrowthRate() != 0 || s.Last().HeapBytes != 0 {
-		t.Fatal("nil sampler leaked state")
-	}
-	s.Stop()
-	if got := StartRuntimeSampler(nil, time.Second, nil); got != nil {
-		t.Fatalf("nil registry should yield nil sampler, got %v", got)
-	}
-	if got := StartRuntimeSampler(NewRegistry(), 0, nil); got != nil {
-		t.Fatalf("zero interval should yield nil sampler, got %v", got)
-	}
 }
 
 // TestHistQuantile: nearest-rank quantiles on a synthetic

@@ -135,10 +135,12 @@ func TracerFrom(ctx context.Context) *Tracer {
 // compact process resource snapshot (heap, goroutines, GC, CPU) — into
 // w every interval, until the returned stop function is called (stop
 // emits one final heartbeat, so the journal always records the end
-// state). A nil writer, nil registry, or non-positive interval yields
-// a no-op stop.
-func StartHeartbeat(w *runlog.Writer, base runlog.Record, reg *Registry, interval time.Duration) (stop func()) {
-	if w == nil || reg == nil || interval <= 0 {
+// state). onBeat, when non-nil, runs after every heartbeat record (the
+// service publishes its SSE heartbeat event there). A nil w is a valid
+// sink, so a hook alone still beats; a non-positive interval, or a nil
+// w with a nil hook, yields a no-op stop.
+func StartHeartbeat(w *runlog.Writer, base runlog.Record, reg *Registry, interval time.Duration, onBeat func()) (stop func()) {
+	if interval <= 0 || (w == nil && onBeat == nil) {
 		return func() {}
 	}
 	emit := func() {
@@ -147,6 +149,9 @@ func StartHeartbeat(w *runlog.Writer, base runlog.Record, reg *Registry, interva
 		rec.Metrics = reg.Snapshot()
 		rec.Resources = ReadResources().Runlog()
 		_ = w.Emit(rec) // heartbeats are best-effort liveness
+		if onBeat != nil {
+			onBeat()
+		}
 	}
 	done := make(chan struct{})
 	var wg sync.WaitGroup

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -103,7 +104,7 @@ func TestHeartbeat(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("paths_total", "").Add(99)
 
-	stop := StartHeartbeat(w, runlog.Record{Tool: "routecheck"}, reg, 5*time.Millisecond)
+	stop := StartHeartbeat(w, runlog.Record{Tool: "routecheck"}, reg, 5*time.Millisecond, nil)
 	time.Sleep(25 * time.Millisecond)
 	stop()
 	stop() // idempotent
@@ -124,8 +125,16 @@ func TestHeartbeat(t *testing.T) {
 		}
 	}
 
+	// A hook beats without a journal, every tick plus the final beat.
+	var beats atomic.Int64
+	stop = StartHeartbeat(nil, runlog.Record{}, reg, 5*time.Millisecond, func() { beats.Add(1) })
+	time.Sleep(25 * time.Millisecond)
+	stop()
+	if beats.Load() < 2 {
+		t.Fatalf("hook ran %d times, want ≥ 2 (ticks plus final)", beats.Load())
+	}
+
 	// No-op configurations return usable stops.
-	StartHeartbeat(nil, runlog.Record{}, reg, time.Second)()
-	StartHeartbeat(w, runlog.Record{}, nil, time.Second)()
-	StartHeartbeat(w, runlog.Record{}, reg, 0)()
+	StartHeartbeat(nil, runlog.Record{}, reg, time.Second, nil)()
+	StartHeartbeat(w, runlog.Record{}, reg, 0, func() { t.Error("zero interval beat") })()
 }

@@ -7,6 +7,7 @@ import (
 
 	"pathrouting/internal/bilinear"
 	"pathrouting/internal/cdag"
+	"pathrouting/internal/runlog"
 )
 
 // Stats reports the verified properties of a routing.
@@ -81,6 +82,17 @@ func (s Stats) PathsPerSecond() float64 {
 		return 0
 	}
 	return float64(s.NumPaths) / s.Elapsed.Seconds()
+}
+
+// FinalRecord returns base filled in as the journal's final-event
+// record of a run with these stats.
+func (s Stats) FinalRecord(base runlog.Record) runlog.Record {
+	base.Event = runlog.EventFinal
+	base.Paths, base.TotalHits = s.NumPaths, s.TotalHits
+	base.MaxVertexHits, base.MaxMetaHits = s.MaxVertexHits, s.MaxMetaHits
+	base.Bound, base.AdjChecked = s.Bound, s.AdjacencyChecked
+	base.ElapsedSec, base.PathsPerSec = s.Elapsed.Seconds(), s.PathsPerSecond()
+	return base
 }
 
 // Progress is a periodic observability snapshot from a running full

@@ -619,10 +619,6 @@ func (s *Server) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// QueueLen returns the number of jobs waiting in the FIFO queue (the
-// anomaly profiler's queue-depth trigger reads it).
-func (s *Server) QueueLen() int { return len(s.queue) }
-
 // Jobs returns every known job in submission order.
 func (s *Server) Jobs() []*Job {
 	s.mu.Lock()
@@ -660,48 +656,6 @@ func (s *Server) journalEmit(rec runlog.Record) {
 	}
 }
 
-// startJobHeartbeat launches the per-job heartbeat loop: every
-// Options.Heartbeat it journals a heartbeat record (stamped with the
-// job's trace identity, carrying the live metric snapshot) and
-// publishes an SSE heartbeat event. The returned stop is idempotent
-// and emits one final heartbeat, so the journal records the end state.
-func (s *Server) startJobHeartbeat(j *Job, base runlog.Record) (stop func()) {
-	if s.opts.Heartbeat <= 0 {
-		return func() {}
-	}
-	emit := func() {
-		rec := base
-		rec.Event = runlog.EventHeartbeat
-		rec.Metrics = s.reg.Snapshot()
-		s.journalEmit(rec)
-		j.events.publish(eventHeartbeat, j.Snapshot())
-	}
-	done := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		t := time.NewTicker(s.opts.Heartbeat)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				emit()
-			case <-done:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			wg.Wait()
-			emit()
-		})
-	}
-}
-
 // runJob executes one job through the checkpointed verifier, with the
 // job's trace identity threaded through the context so every span the
 // engine emits — and every record runJob journals — carries it.
@@ -723,7 +677,9 @@ func (s *Server) runJob(j *Job) {
 	startRec.Resumed = resumed
 	s.journalEmit(startRec)
 	j.events.publish(eventStarted, j.Snapshot())
-	stopHeartbeat := s.startJobHeartbeat(j, base)
+	stopHeartbeat := obs.StartHeartbeat(s.opts.Journal, base, s.reg, s.opts.Heartbeat, func() {
+		j.events.publish(eventHeartbeat, j.Snapshot())
+	})
 
 	j.beginLeg(obs.ReadResources())
 	start := time.Now()
@@ -787,15 +743,11 @@ func (s *Server) runJob(j *Job) {
 		j.mu.Lock()
 		j.state, j.stats, j.cert = StateDone, &doc, cert
 		j.mu.Unlock()
-		finalRec.Paths = st.NumPaths
-		finalRec.TotalHits = st.TotalHits
-		finalRec.MaxVertexHits = st.MaxVertexHits
-		finalRec.MaxMetaHits = st.MaxMetaHits
-		finalRec.Bound = st.Bound
-		finalRec.AdjChecked = st.AdjacencyChecked
-		if elapsed.Seconds() > 0 {
-			finalRec.PathsPerSec = float64(st.NumPaths) / elapsed.Seconds()
-		}
+		// The journal times the job by its own wall clock, not the
+		// engine's.
+		wall := st
+		wall.Elapsed = elapsed
+		finalRec = wall.FinalRecord(finalRec)
 		s.journalEmit(finalRec)
 		// Fill the cache before releasing the single-flight slot, so a
 		// submission racing the handoff finds one of the two.

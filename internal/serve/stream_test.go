@@ -258,7 +258,8 @@ func TestSSEDrainEndsStream(t *testing.T) {
 // TestTracePropagation: a client-supplied X-Trace-Id is adopted,
 // echoed on every response, stamped into every journal record the job
 // emits (run_start, spans, shard_done, heartbeat, final), and an
-// invalid one is rejected.
+// invalid one is rejected. Every heartbeat carries the schema-4
+// resource block.
 func TestTracePropagation(t *testing.T) {
 	journalPath := filepath.Join(t.TempDir(), "run.jsonl")
 	jw, err := runlog.Open(journalPath)
@@ -322,6 +323,9 @@ func TestTracePropagation(t *testing.T) {
 		}
 		if rec.Trace != trace || rec.Job != doc.ID {
 			t.Fatalf("journal record without trace identity: %s", line)
+		}
+		if rec.Event == runlog.EventHeartbeat && (rec.Resources == nil || rec.Resources.HeapBytes <= 0) {
+			t.Fatalf("heartbeat without a resource block: %s", line)
 		}
 		events[rec.Event]++
 	}
