@@ -107,7 +107,8 @@ verify-resume:
 	grep '^stats:' $(RESUME_DIR)/resumed.out > $(RESUME_DIR)/resumed.stats; \
 	grep '^stats:' $(RESUME_DIR)/fresh.out > $(RESUME_DIR)/fresh.stats; \
 	cmp $(RESUME_DIR)/resumed.stats $(RESUME_DIR)/fresh.stats; \
-	$(RESUME_DIR)/routecheck -summarize $(RESUME_DIR)/runs.jsonl; \
+	$(GO) build -o $(RESUME_DIR)/routelog ./cmd/routelog; \
+	$(RESUME_DIR)/routelog $(RESUME_DIR)/runs.jsonl; \
 	echo "verify-resume: PASS — resumed stats byte-identical to an uninterrupted run"
 
 # Observability acceptance check: run a real verification with the
@@ -115,11 +116,11 @@ verify-resume:
 # assert the routing metric families and the live progress document are
 # there. -debughold keeps the server up after the (short) run so the
 # scrape cannot race its exit. Then the paperrepro leg: a quick E3
-# sweep must journal one final per configuration (8) and leave a CPU
-# profile pprof parses, and so must the unknown-experiment error exit
+# sweep must journal one finished trace per configuration (8, counted
+# by routelog) and leave a CPU profile pprof parses, and so must the unknown-experiment error exit
 # (exit 2), whose os.Exit skips deferred calls.
 obs-smoke:
-	@set -e; pid=""; trap 'rm -rf $(OBS_DIR); [ -z "$$pid" ] || kill $$pid 2>/dev/null || true' EXIT; \
+	@set -e; pid=""; trap '[ -z "$$pid" ] || { kill $$pid 2>/dev/null || true; wait $$pid 2>/dev/null || true; }; rm -rf $(OBS_DIR)' EXIT; \
 	rm -rf $(OBS_DIR); mkdir -p $(OBS_DIR); \
 	$(GO) build -o $(OBS_DIR)/routecheck ./cmd/routecheck; \
 	$(OBS_DIR)/routecheck -alg strassen -k 4 -shardrows 64 \
@@ -146,9 +147,10 @@ obs-smoke:
 	$(GO) build -o $(OBS_DIR)/paperrepro ./cmd/paperrepro; \
 	$(OBS_DIR)/paperrepro -experiment E3 -quick -journal $(OBS_DIR)/e3.jsonl \
 		-cpuprofile $(OBS_DIR)/e3.pb.gz > $(OBS_DIR)/e3.out; \
-	$(OBS_DIR)/routecheck -summarize $(OBS_DIR)/e3.jsonl > $(OBS_DIR)/e3.summary; \
-	grep -q ', 8 finals,' $(OBS_DIR)/e3.summary \
-		|| { echo "obs-smoke: paperrepro E3 journal does not show 8 finals"; cat $(OBS_DIR)/e3.summary; exit 1; }; \
+	$(GO) build -o $(OBS_DIR)/routelog ./cmd/routelog; \
+	$(OBS_DIR)/routelog $(OBS_DIR)/e3.jsonl > $(OBS_DIR)/e3.traces; \
+	[ $$(grep -c '^trace .* final paths=' $(OBS_DIR)/e3.traces) -eq 8 ] \
+		|| { echo "obs-smoke: paperrepro E3 journal does not show 8 finals"; cat $(OBS_DIR)/e3.traces; exit 1; }; \
 	$(GO) tool pprof -raw $(OBS_DIR)/e3.pb.gz > /dev/null \
 		|| { echo "obs-smoke: paperrepro E3 CPU profile does not parse"; exit 1; }; \
 	st=0; $(OBS_DIR)/paperrepro -experiment nope -cpuprofile $(OBS_DIR)/nope.pb.gz 2> $(OBS_DIR)/nope.err || st=$$?; \
@@ -181,9 +183,12 @@ obs-smoke:
 # The restarted daemon must also serve a non-empty heap profile at
 # /debug/pprof/heap, and its first /metrics scrape must carry
 # proc_heap_bytes (the runtime families are sampled on every read, not
-# by a background cadence).
+# by a background cadence). Every daemon and stream started goes into
+# pids, and the exit trap stops and reaps them before it removes the
+# scratch dir: a daemon still writing there would fail the rm, and a
+# failing trap command would end the trap before the kill.
 routed-smoke:
-	@set -e; pids=""; trap 'rm -rf $(ROUTED_DIR); [ -z "$$pids" ] || kill $$pids 2>/dev/null || true' EXIT; \
+	@set -e; pids=""; trap '[ -z "$$pids" ] || { kill $$pids 2>/dev/null || true; wait $$pids 2>/dev/null || true; }; rm -rf $(ROUTED_DIR)' EXIT; \
 	rm -rf $(ROUTED_DIR); mkdir -p $(ROUTED_DIR); \
 	$(GO) build -o $(ROUTED_DIR)/routed ./cmd/routed; \
 	$(ROUTED_DIR)/routed -addr 127.0.0.1:0 -datadir $(ROUTED_DIR)/data0 \
@@ -227,7 +232,7 @@ routed-smoke:
 	[ -s $(ROUTED_DIR)/fresh.cert ] || { echo "routed-smoke: no certificate in reference job"; exit 1; }; \
 	$(ROUTED_DIR)/routed -addr 127.0.0.1:0 -datadir $(ROUTED_DIR)/data2 \
 		-journal $(ROUTED_DIR)/d2.jsonl \
-		-crashaftershards 3 2> $(ROUTED_DIR)/d2.err & cpid=$$!; \
+		-crashaftershards 3 2> $(ROUTED_DIR)/d2.err & cpid=$$!; pids="$$pids $$cpid"; \
 	url2=""; i=0; while [ $$i -lt 100 ]; do \
 		url2=$$(sed -n 's/^routed listening on //p' $(ROUTED_DIR)/d2.err); \
 		[ -n "$$url2" ] && break; i=$$((i+1)); sleep 0.1; done; \

@@ -33,13 +33,11 @@ func fail(err error) {
 }
 
 func find(name string) *bilinear.Algorithm {
-	for _, alg := range bilinear.All() {
-		if alg.Name == name {
-			return alg
-		}
+	alg, err := bilinear.ByName(name)
+	if err != nil {
+		fail(err)
 	}
-	fail(fmt.Errorf("unknown algorithm %q", name))
-	return nil
+	return alg
 }
 
 func main() {

@@ -35,14 +35,9 @@ func fail(err error) {
 
 func main() {
 	flag.Parse()
-	var alg *bilinear.Algorithm
-	for _, a := range bilinear.All() {
-		if a.Name == *algName {
-			alg = a
-		}
-	}
-	if alg == nil {
-		fail(fmt.Errorf("unknown algorithm %q", *algName))
+	alg, err := bilinear.ByName(*algName)
+	if err != nil {
+		fail(err)
 	}
 	switch *fig {
 	case "base":

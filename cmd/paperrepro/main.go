@@ -15,7 +15,7 @@
 // the sharded checkpoint engine, persisting per-case checkpoint files
 // there; re-running with -resume skips completed shards. -journal
 // appends structured JSONL records (see internal/runlog) for the E3
-// runs, summarizable with `routecheck -summarize`.
+// runs, one trace per configuration, which cmd/routelog reads.
 //
 // With -debugaddr, a debug HTTP server exposes Prometheus-format
 // /metrics (routing and pebble instrument families), a JSON /healthz

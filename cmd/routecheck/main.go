@@ -12,7 +12,6 @@
 //	           [-journal run.jsonl] [-debugaddr :8080] [-debughold 0]
 //	           [-heartbeat 30s]
 //	           [-cpuprofile cpu.pb.gz] [-memprofile mem.pb.gz]
-//	routecheck -summarize run.jsonl
 //
 // The full routing runs on the orbit kernel by default; -orbits=false
 // runs the full enumeration instead, the independent oracle whose
@@ -24,8 +23,8 @@
 // with -resume skips them and reports final stats bit-identical to an
 // uninterrupted run. -maxshards stops after N new shards (exit code 3)
 // to time-box long runs.
-// -journal appends structured JSONL records (see internal/runlog);
-// -summarize aggregates such a journal and exits.
+// -journal appends structured JSONL records (see internal/runlog),
+// which cmd/routelog reads.
 //
 // With -debugaddr, a debug HTTP server exposes Prometheus-format
 // /metrics, a JSON /healthz (latest per-worker progress and checkpoint
@@ -72,13 +71,12 @@ var (
 	resume     = flag.Bool("resume", false, "with -checkpoint: skip shards already completed in the checkpoint file")
 	shardRows  = flag.Int64("shardrows", 0, "enumeration rows per shard of the full routing (0 = ~1M paths per shard, at least one shard per worker)")
 	maxShards  = flag.Int64("maxshards", 0, "with -checkpoint: stop after N new shards, exit 3 (0 = run to completion)")
-	summarize  = flag.String("summarize", "", "summarize a JSONL journal and exit")
 	debugHold  = flag.Duration("debughold", 0, "with -debugaddr: keep the debug server up this long after the run")
 	obsFlags   = cli.RegisterFlags()
 )
 
 // session is the run's observability state (nil until main starts
-// it, and for -summarize).
+// it).
 var session *cli.Session
 
 // health aggregates the live run state served by /healthz.
@@ -175,22 +173,9 @@ func fail(err error) { session.Fail(err) }
 
 func main() {
 	flag.Parse()
-	if *summarize != "" {
-		s, err := runlog.SummarizeFile(*summarize)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(s.Format())
-		return
-	}
-	var alg *bilinear.Algorithm
-	for _, a := range bilinear.All() {
-		if a.Name == *algName {
-			alg = a
-		}
-	}
-	if alg == nil {
-		fail(fmt.Errorf("unknown algorithm %q", *algName))
+	alg, err := bilinear.ByName(*algName)
+	if err != nil {
+		fail(err)
 	}
 	// Every run gets a trace ID so its journal records — spans,
 	// heartbeats, shard completions — group under one identity for
@@ -198,7 +183,6 @@ func main() {
 	base := runlog.Record{Tool: "routecheck", Alg: alg.Name, K: *k, Workers: *workers,
 		Trace: obs.NewTraceID()}
 	obsFlags.DebugHold = *debugHold
-	var err error
 	if session, err = cli.Start(obsFlags, base, health.snapshot); err != nil {
 		fail(err)
 	}
@@ -270,21 +254,14 @@ func main() {
 		fail(fmt.Errorf("unknown routing %q", *which))
 	}
 	fmt.Printf("%s G_%d %s routing: %s\n", alg.Name, *k, *which, st)
-	printStatsLine(st)
+	// Everything in Stats except wall time, so interrupted+resumed and
+	// uninterrupted runs compare byte for byte (make verify-resume).
+	fmt.Println("stats:", st.Certificate())
 	fmt.Printf("VERIFIED: max vertex hits %d ≤ bound %d; max meta-vertex hits %d ≤ bound %d\n",
 		st.MaxVertexHits, st.Bound, st.MaxMetaHits, st.Bound)
 	if st.AdjacencyChecked > 0 {
 		fmt.Printf("adjacency verified edge-by-edge on %d paths\n", st.AdjacencyChecked)
 	}
-}
-
-// printStatsLine prints the deterministic stats fields on one line —
-// everything in Stats except wall time — so interrupted+resumed and
-// uninterrupted runs can be compared byte-for-byte (make verify-resume
-// does exactly that).
-func printStatsLine(st routing.Stats) {
-	fmt.Printf("stats: paths=%d totalHits=%d maxVertexHits=%d maxMetaHits=%d bound=%d adjChecked=%d\n",
-		st.NumPaths, st.TotalHits, st.MaxVertexHits, st.MaxMetaHits, st.Bound, st.AdjacencyChecked)
 }
 
 // progressPrinter returns a concurrency-safe routing.Progress callback

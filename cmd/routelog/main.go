@@ -1,10 +1,10 @@
-// Command routelog is the trace-analysis companion to the runlog
-// journal: where `routecheck -summarize` rolls a journal up per
-// configuration, routelog groups records by their schema-3 trace
-// identity and reconstructs what each run actually did — a span
-// waterfall (which shard enumerations overlapped, where checkpoint
-// persists sat), per-span-name latency percentiles, and the
-// shard-completion timeline. Stdlib only, like everything else here.
+// Command routelog is the reader of the runlog journal: it groups
+// records by their schema-3 trace identity and reconstructs what each
+// run actually did — a one-line header with the run's final paths,
+// elapsed time and paths/s, a span waterfall (which shard
+// enumerations overlapped, where checkpoint persists sat),
+// per-span-name latency percentiles, and the shard-completion
+// timeline. Stdlib only, like everything else here.
 //
 // Usage:
 //
@@ -18,14 +18,15 @@
 // table instead of the waterfall: what each job actually consumed —
 // queue wait, CPU seconds, allocated bytes, paths/s, enumeration
 // shard-time — reconstructed from the schema-4 Resources records and
-// accumulated across daemon generations. -follow tails the journal
+// accumulated across daemon generations; a CLI trace, whose final
+// record carries no such block, shows its final paths/s and its
+// heartbeats' peak heap instead. -follow tails the journal
 // and prints one line per new record as it lands — a poor man's live
 // dashboard over nothing but the file.
 package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -93,7 +94,9 @@ func run(args []string, out, errOut io.Writer) int {
 // (internal/serve folds every crash/resume leg into it, so the last
 // final across merged journals is the cross-generation total), plus
 // derived rates — paths per wall second and per shard-enumeration
-// second — and the peak heap any schema-4 heartbeat observed.
+// second — and the peak heap any schema-4 heartbeat observed. A trace
+// whose final carries no block (routecheck and paperrepro runs) still
+// reports its final paths/s and peak heap.
 func resourceReport(paths []string, only string, out io.Writer) error {
 	ts, err := runlog.CollectTracesFiles(paths...)
 	if err != nil {
@@ -109,19 +112,22 @@ func resourceReport(paths []string, only string, out io.Writer) error {
 		shown++
 		fmt.Fprintf(out, "\n%s\n", traceIdent(t))
 		res := resourcesOf(t)
-		if res == nil {
+		pps := pathsPerSec(t, res)
+		if res == nil && pps == 0 && t.PeakHeapBytes == 0 {
 			fmt.Fprintf(out, "  no resource records (pre-schema-4 journal)\n")
 			continue
 		}
-		legs := res.Legs
-		if legs == 0 {
-			legs = t.Starts
+		if res != nil {
+			legs := res.Legs
+			if legs == 0 {
+				legs = t.Starts
+			}
+			fmt.Fprintf(out, "  legs %d  wall %.2fs  queue-wait %.2fs  cpu %.2fs  allocs %s\n",
+				legs, res.WallSeconds, res.QueueWaitSeconds, res.CPUSeconds, formatBytes(res.AllocBytes))
 		}
-		fmt.Fprintf(out, "  legs %d  wall %.2fs  queue-wait %.2fs  cpu %.2fs  allocs %s\n",
-			legs, res.WallSeconds, res.QueueWaitSeconds, res.CPUSeconds, formatBytes(res.AllocBytes))
 		if t.Final != nil && t.Final.Paths > 0 {
 			line := fmt.Sprintf("  paths %d", t.Final.Paths)
-			if pps := pathsPerSec(t, res); pps > 0 {
+			if pps > 0 {
 				line += fmt.Sprintf("  %.0f paths/s", pps)
 			}
 			if st := shardSeconds(t); st > 0 {
@@ -140,23 +146,11 @@ func resourceReport(paths []string, only string, out io.Writer) error {
 	return nil
 }
 
-// traceIdent is the identity half of a trace header (no span/shard
+// traceIdent is the trace's identity plus how it ended (no span/shard
 // counts — the cost table has its own lines).
 func traceIdent(t *runlog.Trace) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "trace %s", t.ID)
-	if t.Traced {
-		ident := strings.TrimSpace(fmt.Sprintf("%s %s", t.Tool, t.Alg))
-		if ident != "" {
-			fmt.Fprintf(&b, "  %s", ident)
-		}
-		if t.K > 0 {
-			fmt.Fprintf(&b, " k=%d", t.K)
-		}
-		if t.Job != "" {
-			fmt.Fprintf(&b, " job=%s", t.Job)
-		}
-	}
+	b.WriteString(t.Ident())
 	switch {
 	case t.Final == nil:
 		b.WriteString("  (no final record)")
@@ -178,13 +172,17 @@ func resourcesOf(t *runlog.Trace) *runlog.Resources {
 	return t.Final.Resources
 }
 
-// pathsPerSec prefers the accumulated cross-leg rate; older records
-// fall back to the final record's single-leg rate.
+// pathsPerSec prefers the accumulated cross-leg rate; CLI and older
+// records fall back to the final record's single-leg rate (0 without
+// a final).
 func pathsPerSec(t *runlog.Trace, res *runlog.Resources) float64 {
-	if res.PathsPerSec > 0 {
+	switch {
+	case res != nil && res.PathsPerSec > 0:
 		return res.PathsPerSec
+	case t.Final != nil:
+		return t.Final.PathsPerSec
 	}
-	return t.Final.PathsPerSec
+	return 0
 }
 
 // shardSeconds sums the trace's shard_enumerate span durations — the
@@ -275,7 +273,7 @@ func followJournal(path, only string, stopAfter, poll time.Duration, out io.Writ
 			}
 			full := partial.String() + line
 			partial.Reset()
-			if rec, ok := parseRecord(full); ok && (only == "" || rec.Trace == only) {
+			if rec, ok := runlog.ParseRecord(full); ok && (only == "" || rec.Trace == only) {
 				fmt.Fprintln(out, followLine(rec))
 			}
 		}
@@ -285,14 +283,6 @@ func followJournal(path, only string, stopAfter, poll time.Duration, out io.Writ
 		case <-time.After(poll):
 		}
 	}
-}
-
-func parseRecord(line string) (runlog.Record, bool) {
-	var rec runlog.Record
-	if err := json.Unmarshal([]byte(strings.TrimSpace(line)), &rec); err != nil || rec.Event == "" {
-		return rec, false
-	}
-	return rec, true
 }
 
 // followLine renders one record as a compact tail line, using the

@@ -37,31 +37,42 @@ func TestAnalyzeGolden(t *testing.T) {
 	}
 }
 
-// TestResourcesGolden locks the -resources cost table for the same
-// crash+resume fixture: the traced job reports the accumulated
-// schema-4 Resources block of its last final record (both legs), the
-// per-shard-second rate from its shard_enumerate spans, and the peak
-// heap from its heartbeat; the pre-schema-4 untraced run reports that
-// it has no resource records.
+// TestResourcesGolden locks the -resources cost table for two
+// fixtures. journal.jsonl is the crash+resume fixture: the traced job
+// reports the accumulated schema-4 Resources block of its last final
+// record (both legs), the per-shard-second rate from its
+// shard_enumerate spans, and the peak heap from its heartbeat; the
+// schema-2 run reports its final's paths/s; a trace with neither
+// reports that it has no resource records. cli.jsonl is CLI-shaped: a
+// routecheck run whose final carries no Resources block but whose
+// heartbeats do, and a paperrepro row without heartbeats — each
+// reports its final paths/s, the routecheck run also its peak heap.
 func TestResourcesGolden(t *testing.T) {
-	var out, errOut strings.Builder
-	code := run([]string{"-resources", "testdata/journal.jsonl"}, &out, &errOut)
-	if code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
-	}
-	golden := filepath.Join("testdata", "resources.golden")
-	if *update {
-		if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.String() != string(want) {
-		t.Fatalf("cost table drifted from golden (run `go test ./cmd/routelog -run Golden -update` if intended)\n--- got ---\n%s\n--- want ---\n%s",
-			out.String(), want)
+	for journal, golden := range map[string]string{
+		"journal.jsonl": "resources.golden",
+		"cli.jsonl":     "resources-cli.golden",
+	} {
+		t.Run(journal, func(t *testing.T) {
+			var out, errOut strings.Builder
+			code := run([]string{"-resources", filepath.Join("testdata", journal)}, &out, &errOut)
+			if code != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, errOut.String())
+			}
+			golden := filepath.Join("testdata", golden)
+			if *update {
+				if err := os.WriteFile(golden, []byte(out.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != string(want) {
+				t.Fatalf("cost table drifted from golden (run `go test ./cmd/routelog -run Golden -update` if intended)\n--- got ---\n%s\n--- want ---\n%s",
+					out.String(), want)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,11 @@
 package bilinear
 
-import "pathrouting/internal/rat"
+import (
+	"fmt"
+	"strings"
+
+	"pathrouting/internal/rat"
+)
 
 // Classical returns the classical (definition-based) algorithm for
 // n₀×n₀ multiplication: b = n₀³ products a_ik·b_kj. Its exponent is
@@ -207,22 +212,45 @@ func DisconnectedFast() *Algorithm {
 	return alg
 }
 
+// catalog names every catalog algorithm, in All's order, next to its
+// constructor, so ByName builds only the algorithm asked for.
+var catalog = []struct {
+	name  string
+	build func() (*Algorithm, error)
+}{
+	{"classical2", func() (*Algorithm, error) { return Classical(2), nil }},
+	{"classical3", func() (*Algorithm, error) { return Classical(3), nil }},
+	{"strassen", func() (*Algorithm, error) { return Strassen(), nil }},
+	{"winograd", func() (*Algorithm, error) { return Winograd(), nil }},
+	{"strassen2", func() (*Algorithm, error) { return StrassenSquared(), nil }},
+	{"disconnected56", func() (*Algorithm, error) { return DisconnectedFast(), nil }},
+	{"laderman", Laderman},
+}
+
 // All returns every catalog algorithm, constructing Laderman on the fly.
 // Algorithms that fail construction are skipped (Laderman cannot fail:
 // its construction is covered by tests).
 func All() []*Algorithm {
-	algs := []*Algorithm{
-		Classical(2),
-		Classical(3),
-		Strassen(),
-		Winograd(),
-		StrassenSquared(),
-		DisconnectedFast(),
-	}
-	if lad, err := Laderman(); err == nil {
-		algs = append(algs, lad)
+	algs := make([]*Algorithm, 0, len(catalog))
+	for _, c := range catalog {
+		if alg, err := c.build(); err == nil {
+			algs = append(algs, alg)
+		}
 	}
 	return algs
+}
+
+// ByName builds the catalog algorithm with the given name, and no
+// other. An unknown name is an error that lists the catalog.
+func ByName(name string) (*Algorithm, error) {
+	names := make([]string, len(catalog))
+	for i, c := range catalog {
+		if c.name == name {
+			return c.build()
+		}
+		names[i] = c.name
+	}
+	return nil, fmt.Errorf("unknown algorithm %q (catalog: %s)", name, strings.Join(names, ", "))
 }
 
 // Fast returns the catalog algorithms with ω₀ < 3 (those covered by the

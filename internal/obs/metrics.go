@@ -214,12 +214,11 @@ func formatFloat(v float64) string {
 }
 
 // A Counter is a monotonically increasing int64 metric. The zero value
-// must not be used directly; obtain counters from a Registry (or, for
-// labeled children, from a CounterVec). All methods are nil-safe
-// no-ops so call sites need no instrumentation branches.
+// must not be used directly; obtain counters from a Registry. All
+// methods are nil-safe no-ops so call sites need no instrumentation
+// branches.
 type Counter struct {
 	name, help string
-	labels     string // rendered `key="val",…` label set; "" for plain counters
 	v          atomic.Int64
 }
 
@@ -244,28 +243,15 @@ func (c *Counter) Value() int64 {
 
 func (c *Counter) metricName() string { return c.name }
 
-// seriesName is the exposition/snapshot identity: the metric name,
-// plus the label set for vec children.
-func (c *Counter) seriesName() string {
-	if c.labels == "" {
-		return c.name
-	}
-	return c.name + "{" + c.labels + "}"
-}
-
 func (c *Counter) write(w io.Writer) error {
 	if err := writeHeader(w, c.name, c.help, "counter"); err != nil {
 		return err
 	}
-	return c.writeValue(w)
-}
-
-func (c *Counter) writeValue(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "%s %d\n", c.seriesName(), c.v.Load())
+	_, err := fmt.Fprintf(w, "%s %d\n", c.name, c.v.Load())
 	return err
 }
 
-func (c *Counter) snapshot(into map[string]float64) { into[c.seriesName()] = float64(c.v.Load()) }
+func (c *Counter) snapshot(into map[string]float64) { into[c.name] = float64(c.v.Load()) }
 
 // A Gauge is a float64 metric that can go up and down. Obtain gauges
 // from a Registry; methods are nil-safe no-ops.
@@ -329,7 +315,6 @@ func (g *Gauge) snapshot(into map[string]float64) { into[g.name] = g.Value() }
 // engine batches those through counters instead). Methods are nil-safe.
 type Histogram struct {
 	name, help string
-	labels     string    // rendered label set for vec children; "" otherwise
 	bounds     []float64 // upper bounds; +Inf bucket implicit
 	buckets    []atomic.Int64
 	count      atomic.Int64
@@ -397,48 +382,31 @@ func (h *Histogram) Sum() float64 {
 
 func (h *Histogram) metricName() string { return h.name }
 
-// series renders the labeled suffix forms: `name_sum{labels}` and the
-// bucket prefix the `le` label is appended to.
-func (h *Histogram) series(suffix string) string {
-	if h.labels == "" {
-		return h.name + suffix
-	}
-	return h.name + suffix + "{" + h.labels + "}"
-}
-
 func (h *Histogram) write(w io.Writer) error {
 	if err := writeHeader(w, h.name, h.help, "histogram"); err != nil {
 		return err
 	}
-	return h.writeValue(w)
-}
-
-func (h *Histogram) writeValue(w io.Writer) error {
-	bucketPrefix := ""
-	if h.labels != "" {
-		bucketPrefix = h.labels + ","
-	}
 	var cum int64
 	for i, bound := range h.bounds {
 		cum += h.buckets[i].Load()
-		if _, err := fmt.Fprintf(w, "%s_bucket{%sle=%q} %d\n", h.name, bucketPrefix, formatFloat(bound), cum); err != nil {
+		if _, err := fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", h.name, formatFloat(bound), cum); err != nil {
 			return err
 		}
 	}
 	cum += h.buckets[len(h.bounds)].Load()
-	if _, err := fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", h.name, bucketPrefix, cum); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", h.name, cum); err != nil {
 		return err
 	}
-	if _, err := fmt.Fprintf(w, "%s %s\n", h.series("_sum"), formatFloat(h.Sum())); err != nil {
+	if _, err := fmt.Fprintf(w, "%s_sum %s\n", h.name, formatFloat(h.Sum())); err != nil {
 		return err
 	}
-	_, err := fmt.Fprintf(w, "%s %d\n", h.series("_count"), h.count.Load())
+	_, err := fmt.Fprintf(w, "%s_count %d\n", h.name, h.count.Load())
 	return err
 }
 
 func (h *Histogram) snapshot(into map[string]float64) {
-	into[h.series("_count")] = float64(h.count.Load())
-	into[h.series("_sum")] = h.Sum()
+	into[h.name+"_count"] = float64(h.count.Load())
+	into[h.name+"_sum"] = h.Sum()
 }
 
 // LatencyBuckets is the default bound set for second-denominated

@@ -68,13 +68,13 @@ func TestSpanEmitsRunlogRecord(t *testing.T) {
 		t.Fatalf("span_start not RFC3339: %v", err)
 	}
 
-	// A journal of spans summarizes without error, counted as spans.
-	s, err := runlog.SummarizeFile(path)
+	// The journal reader takes the span as one of its trace's spans.
+	ts, err := runlog.CollectTracesFiles(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Spans != 1 || s.Skipped != 0 {
-		t.Fatalf("summary = %+v", s)
+	if ts.Skipped != 0 || len(ts.Traces) != 1 || len(ts.Traces[0].Spans) != 1 {
+		t.Fatalf("trace set = %+v", ts)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pathrouting/internal/bilinear"
@@ -40,6 +41,38 @@ func TestRunJobMatchesVerifier(t *testing.T) {
 	}
 	if shards == 0 {
 		t.Fatal("OnShard never called")
+	}
+}
+
+// TestStatsCertificate pins the certificate line routecheck prints
+// after "stats:" and routed serves for a finished job.
+func TestStatsCertificate(t *testing.T) {
+	st, err := mustRouter(t, bilinear.Strassen(), 2).VerifyFullRoutingParallel(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "paths=512 totalHits=8192 maxVertexHits=72 maxMetaHits=56 bound=96 adjChecked=2"
+	if got := st.Certificate(); got != want {
+		t.Fatalf("certificate %q, want %q", got, want)
+	}
+}
+
+// TestByNameRoundTrip: every catalog algorithm comes back from
+// bilinear.ByName under the same content hash — the identity the
+// service's cache keys build on — and an unknown name is rejected with
+// the catalog listed.
+func TestByNameRoundTrip(t *testing.T) {
+	for _, alg := range bilinear.All() {
+		got, err := bilinear.ByName(alg.Name)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", alg.Name, err)
+		}
+		if got.Name != alg.Name || AlgorithmHash(got) != AlgorithmHash(alg) {
+			t.Fatalf("ByName(%q) built %q with a different hash", alg.Name, got.Name)
+		}
+	}
+	if _, err := bilinear.ByName("nope"); err == nil || !strings.Contains(err.Error(), "laderman") {
+		t.Fatalf("unknown name: err = %v, want one listing the catalog", err)
 	}
 }
 

@@ -75,6 +75,15 @@ func (s Stats) String() string {
 	return out
 }
 
+// Certificate renders the deterministic fields of s — everything but
+// Ranks and Elapsed — on one line: the certificate routecheck prints
+// after "stats:" and routed serves, so an interrupted-and-resumed run
+// compares byte for byte against an uninterrupted one.
+func (s Stats) Certificate() string {
+	return fmt.Sprintf("paths=%d totalHits=%d maxVertexHits=%d maxMetaHits=%d bound=%d adjChecked=%d",
+		s.NumPaths, s.TotalHits, s.MaxVertexHits, s.MaxMetaHits, s.Bound, s.AdjacencyChecked)
+}
+
 // PathsPerSecond returns the verification throughput, or 0 when no
 // timing was recorded.
 func (s Stats) PathsPerSecond() float64 {

@@ -4,17 +4,15 @@
 // stats). The format is crash-tolerant by construction — each record is
 // a single line, written with a single Write call, so a torn final line
 // from a killed process never corrupts the lines before it — and the
-// reader (Summarize) skips unparsable lines instead of failing, so a
-// journal that outlived several interrupted runs still summarizes.
+// one line decoder (ParseRecord, behind CollectTraces and routelog's
+// -follow) skips unparsable lines instead of failing, so a journal that
+// outlived several interrupted runs still reads.
 package runlog
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 )
@@ -28,7 +26,7 @@ import (
 // cost on final records). Schema-1 through schema-3 records remain
 // valid, and readers skip event types and fields they do not know, so
 // journals mixing schemas — or containing events from a future
-// schema — summarize without error.
+// schema — read without error.
 const SchemaVersion = 4
 
 // Event names. A journal may contain any mix, across multiple runs.
@@ -61,7 +59,7 @@ type Record struct {
 	// trace propagation (schema 3): the end-to-end trace ID minted (or
 	// accepted) at submission, and the executing service's job ID.
 	// Every record a traced run emits carries both, so one journal
-	// reconstructs per-job waterfalls (see Traces / cmd/routelog).
+	// reconstructs per-job waterfalls (see CollectTraces / cmd/routelog).
 	Trace string `json:"trace,omitempty"`
 	Job   string `json:"job,omitempty"`
 
@@ -168,164 +166,13 @@ func (w *Writer) Emit(rec Record) error {
 	return err
 }
 
-// Summary aggregates a journal across every run it records.
-type Summary struct {
-	Records    int // parsable lines
-	Skipped    int // torn or foreign lines
-	Runs       int // run_start events
-	Finals     int
-	Violations []string
-	ShardsDone int64 // shard_done events (re-runs of a shard count once each)
-	Spans      int   // span events (schema 2)
-	Heartbeats int   // heartbeat events (schema 2)
-	Traces     int   // distinct trace IDs (schema 3)
-	Unknown    int   // parsable records of event types this reader does not know
-	// OrbitGroups and OrbitFamilies are the high-water marks of the
-	// orbit-reduction counters across heartbeat metric snapshots (the
-	// counters are monotone within a process, so the maximum is the
-	// last complete snapshot even when heartbeats interleave). Families
-	// stay zero unless a run used the stage-2 orbit kernel; their ratio
-	// is the kernel's shared-chain aggregation fan-in.
-	OrbitGroups   float64
-	OrbitFamilies float64
-	// ByRun holds one entry per (tool, alg, k) configuration seen, in
-	// first-appearance order.
-	ByRun []RunSummary
-}
-
-// RunSummary is the per-configuration roll-up.
-type RunSummary struct {
-	Tool, Alg   string
-	K           int
-	Starts      int
-	Paused      int
-	Finals      int
-	LastPaths   int64
-	LastElapsed float64
-	LastPPS     float64
-	BestPPS     float64
-}
-
-func (s *Summary) runFor(rec Record) *RunSummary {
-	for i := range s.ByRun {
-		r := &s.ByRun[i]
-		if r.Tool == rec.Tool && r.Alg == rec.Alg && r.K == rec.K {
-			return r
-		}
+// ParseRecord decodes one journal line. It reports false for a line
+// that is not a record — a torn tail from a killed run, another format,
+// JSON without an event — so readers skip it instead of failing.
+func ParseRecord(line string) (Record, bool) {
+	var rec Record
+	if err := json.Unmarshal([]byte(strings.TrimSpace(line)), &rec); err != nil || rec.Event == "" {
+		return Record{}, false
 	}
-	s.ByRun = append(s.ByRun, RunSummary{Tool: rec.Tool, Alg: rec.Alg, K: rec.K})
-	return &s.ByRun[len(s.ByRun)-1]
-}
-
-// Summarize reads a journal stream. Unparsable lines (torn tails from
-// killed runs, other formats) are counted in Skipped, never fatal.
-func Summarize(r io.Reader) (*Summary, error) {
-	s := &Summary{}
-	traces := make(map[string]struct{})
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var rec Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Event == "" {
-			s.Skipped++
-			continue
-		}
-		s.Records++
-		if rec.Trace != "" {
-			traces[rec.Trace] = struct{}{}
-		}
-		switch rec.Event {
-		case EventRunStart:
-			s.Runs++
-			s.runFor(rec).Starts++
-		case EventShardDone:
-			s.ShardsDone++
-		case EventViolation:
-			s.Violations = append(s.Violations, rec.Error)
-		case EventFinal:
-			run := s.runFor(rec)
-			s.Finals++
-			if rec.Paused {
-				run.Paused++
-			} else {
-				run.Finals++
-			}
-			run.LastPaths = rec.Paths
-			run.LastElapsed = rec.ElapsedSec
-			run.LastPPS = rec.PathsPerSec
-			run.BestPPS = max(run.BestPPS, rec.PathsPerSec)
-		case EventSpan:
-			s.Spans++
-		case EventHeartbeat:
-			s.Heartbeats++
-			s.OrbitGroups = max(s.OrbitGroups, rec.Metrics["routing_orbit_groups_total"])
-			s.OrbitFamilies = max(s.OrbitFamilies, rec.Metrics["routing_orbit_families_total"])
-		default:
-			// Event types from a future schema: counted, never fatal,
-			// and kept out of the per-run roll-ups they might not
-			// belong to.
-			s.Unknown++
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("runlog: %w", err)
-	}
-	s.Traces = len(traces)
-	return s, nil
-}
-
-// SummarizeFile is Summarize over a journal path.
-func SummarizeFile(path string) (*Summary, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("runlog: %w", err)
-	}
-	defer f.Close()
-	return Summarize(f)
-}
-
-// Format renders a Summary for terminal output.
-func (s *Summary) Format() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "journal: %d records (%d skipped), %d run starts, %d finals, %d shard completions\n",
-		s.Records, s.Skipped, s.Runs, s.Finals, s.ShardsDone)
-	if s.Spans > 0 || s.Heartbeats > 0 || s.Unknown > 0 {
-		fmt.Fprintf(&b, "  observability: %d spans, %d heartbeats, %d unknown-event records\n",
-			s.Spans, s.Heartbeats, s.Unknown)
-	}
-	if s.Traces > 0 {
-		fmt.Fprintf(&b, "  traces: %d distinct trace IDs (inspect with routelog)\n", s.Traces)
-	}
-	if s.OrbitGroups > 0 {
-		fmt.Fprintf(&b, "  orbit reduction: %.0f orbits collapsed", s.OrbitGroups)
-		if s.OrbitFamilies > 0 {
-			fmt.Fprintf(&b, " into %.0f shared-chain families (%.1f orbits/family)",
-				s.OrbitFamilies, s.OrbitGroups/s.OrbitFamilies)
-		}
-		b.WriteString("\n")
-	}
-	runs := append([]RunSummary(nil), s.ByRun...)
-	sort.SliceStable(runs, func(i, j int) bool {
-		if runs[i].Alg != runs[j].Alg {
-			return runs[i].Alg < runs[j].Alg
-		}
-		return runs[i].K < runs[j].K
-	})
-	for _, r := range runs {
-		fmt.Fprintf(&b, "  %s %s k=%d: %d starts, %d paused, %d completed",
-			r.Tool, r.Alg, r.K, r.Starts, r.Paused, r.Finals)
-		if r.LastPaths > 0 {
-			fmt.Fprintf(&b, "; last %d paths in %.2fs (%.0f paths/s, best %.0f)",
-				r.LastPaths, r.LastElapsed, r.LastPPS, r.BestPPS)
-		}
-		b.WriteString("\n")
-	}
-	for _, v := range s.Violations {
-		fmt.Fprintf(&b, "  VIOLATION: %s\n", v)
-	}
-	return b.String()
+	return rec, true
 }

@@ -20,8 +20,8 @@ func testWriter(t *testing.T) (*Writer, string) {
 }
 
 // TestEmitAppendRoundTrip writes a full run's worth of events across
-// two Writer sessions (simulating a restart) and checks the summary
-// sees everything.
+// two Writer sessions (simulating a restart) and checks the reader
+// sees everything, the resumed run's final last.
 func TestEmitAppendRoundTrip(t *testing.T) {
 	w, path := testWriter(t)
 	base := Record{Tool: "routecheck", Alg: "strassen", K: 4, Workers: 2}
@@ -61,23 +61,24 @@ func TestEmitAppendRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := SummarizeFile(path)
+	ts, err := CollectTracesFiles(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Records != 5 || s.Skipped != 0 || s.Runs != 2 || s.Finals != 2 || s.ShardsDone != 1 {
-		t.Fatalf("summary = %+v", s)
+	if ts.Records != 5 || ts.Skipped != 0 || len(ts.Traces) != 1 {
+		t.Fatalf("trace set = %+v", ts)
 	}
-	if len(s.ByRun) != 1 {
-		t.Fatalf("expected one configuration, got %+v", s.ByRun)
+	tr := ts.Traces[0]
+	if tr.Starts != 2 || len(tr.Shards) != 1 || tr.Final == nil {
+		t.Fatalf("trace = %+v", tr)
 	}
-	r := s.ByRun[0]
-	if r.Starts != 2 || r.Paused != 1 || r.Finals != 1 || r.LastPaths != 131072 || r.BestPPS != 65536 {
-		t.Fatalf("run summary = %+v", r)
+	if tr.Final.Paused || tr.Final.Paths != 131072 || tr.Final.PathsPerSec != 65536 {
+		t.Fatalf("last final = %+v", tr.Final)
 	}
-	out := s.Format()
-	if !strings.Contains(out, "strassen k=4") || !strings.Contains(out, "131072 paths") {
-		t.Fatalf("format output:\n%s", out)
+	head := tr.Header()
+	if !strings.Contains(head, "strassen k=4") ||
+		!strings.Contains(head, "final paths=131072 in 2.00s (65536 paths/s)") {
+		t.Fatalf("header: %s", head)
 	}
 }
 
@@ -112,102 +113,76 @@ func TestNilWriterIsSink(t *testing.T) {
 	}
 }
 
-// TestSummarizeTornAndForeignLines: a journal whose last line was torn
-// by a kill, plus junk lines, still summarizes the intact records.
-func TestSummarizeTornAndForeignLines(t *testing.T) {
-	journal := `{"schema":1,"event":"run_start","tool":"routecheck","alg":"strassen","k":3}
+// tornJournal ends in a line torn by a kill and holds junk lines: one
+// not JSON, one JSON without an event, one blank.
+const tornJournal = `{"schema":1,"event":"run_start","tool":"routecheck","alg":"strassen","k":3}
 not json at all
 {"schema":1,"event":"violation","error":"vertex hit 999 > bound"}
 {"plausible":"json","but":"no event"}
 
 {"schema":1,"event":"final","alg":"strassen","k":3,"paths":8192,"paths_per_sec":1000}
 {"schema":1,"event":"shard_done","sh`
-	s, err := Summarize(strings.NewReader(journal))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Records != 3 || s.Skipped != 3 {
-		t.Fatalf("records=%d skipped=%d, want 3/3", s.Records, s.Skipped)
-	}
-	if len(s.Violations) != 1 || !strings.Contains(s.Violations[0], "999") {
-		t.Fatalf("violations = %v", s.Violations)
-	}
-	if !strings.Contains(s.Format(), "VIOLATION") {
-		t.Fatalf("format dropped the violation:\n%s", s.Format())
-	}
-}
 
-// TestSummarizeMixedSchemas: a journal accumulated across binary
-// versions — schema-1 records, schema-2 spans and heartbeats, a record
-// from a hypothetical future schema, and a torn tail — must summarize
-// the run records exactly as if the foreign ones were absent.
-func TestSummarizeMixedSchemas(t *testing.T) {
-	journal := `{"schema":1,"event":"run_start","tool":"routecheck","alg":"strassen","k":4,"workers":2}
-{"schema":1,"event":"shard_done","tool":"routecheck","alg":"strassen","k":4,"shard":0,"shards_done":1,"shards_total":8}
-{"schema":2,"event":"span","tool":"routecheck","alg":"strassen","k":4,"span":"shard_enumerate","dur_sec":0.5,"attrs":{"shard":"1"}}
+// mixedJournal is one run journaled across binary versions: schema-1
+// records, schema-2 spans and heartbeats, an event from a future
+// schema, and a torn tail.
+const mixedJournal = `{"schema":1,"event":"run_start","tool":"routecheck","alg":"strassen","k":4,"workers":2}
+{"schema":1,"event":"shard_done","tool":"routecheck","alg":"strassen","k":4,"shard":0,"shards_done":1,"shards_total":8,"time":"2026-01-01T00:00:00Z"}
+{"schema":2,"event":"span","tool":"routecheck","alg":"strassen","k":4,"span":"shard_enumerate","dur_sec":0.5,"attrs":{"shard":"1"},"time":"2026-01-01T00:00:01Z"}
 {"schema":2,"event":"heartbeat","tool":"routecheck","alg":"strassen","k":4,"metrics":{"routing_paths_verified_total":4096}}
 {"schema":3,"event":"quantum_flux","tool":"routecheck","alg":"strassen","k":4}
 {"schema":2,"event":"final","tool":"routecheck","alg":"strassen","k":4,"paths":9834496,"paths_per_sec":250000}
 {"schema":2,"event":"span","tool":"routecheck","alg":"str`
-	s, err := Summarize(strings.NewReader(journal))
+
+// TestCollectTracesTornAndForeignLines: a journal whose last line was
+// torn by a kill, plus junk lines, still reads its intact records.
+func TestCollectTracesTornAndForeignLines(t *testing.T) {
+	ts, err := CollectTraces(strings.NewReader(tornJournal))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Records != 6 || s.Skipped != 1 {
-		t.Fatalf("records=%d skipped=%d, want 6/1", s.Records, s.Skipped)
+	if ts.Records != 3 || ts.Skipped != 3 {
+		t.Fatalf("records=%d skipped=%d, want 3/3", ts.Records, ts.Skipped)
 	}
-	if s.Spans != 1 || s.Heartbeats != 1 || s.Unknown != 1 {
-		t.Fatalf("spans=%d heartbeats=%d unknown=%d, want 1/1/1", s.Spans, s.Heartbeats, s.Unknown)
+	var violations []string
+	for _, tr := range ts.Traces {
+		violations = append(violations, tr.Violations...)
+		if len(tr.Violations) > 0 && !strings.Contains(tr.Header(), "VIOLATION: vertex hit 999") {
+			t.Fatalf("header dropped the violation:\n%s", tr.Header())
+		}
 	}
-	if s.Runs != 1 || s.Finals != 1 || s.ShardsDone != 1 {
-		t.Fatalf("run roll-up = %+v", s)
-	}
-	// Exactly one configuration: spans/heartbeats/unknown events must
-	// not fabricate per-run entries.
-	if len(s.ByRun) != 1 {
-		t.Fatalf("ByRun = %+v", s.ByRun)
-	}
-	if r := s.ByRun[0]; r.Starts != 1 || r.Finals != 1 || r.LastPaths != 9834496 {
-		t.Fatalf("run summary = %+v", r)
-	}
-	out := s.Format()
-	if !strings.Contains(out, "1 spans, 1 heartbeats, 1 unknown-event records") {
-		t.Fatalf("format missing observability line:\n%s", out)
+	if len(violations) != 1 || !strings.Contains(violations[0], "999") {
+		t.Fatalf("violations = %v", violations)
 	}
 }
 
-// TestSummarizeOrbitCounters: the summary lifts the orbit-reduction
-// counters from heartbeat snapshots (high-water mark across them) and
-// Format surfaces the orbits-per-family aggregation fan-in.
-func TestSummarizeOrbitCounters(t *testing.T) {
-	journal := `{"schema":4,"event":"heartbeat","metrics":{"routing_orbit_groups_total":1024,"routing_orbit_families_total":16}}
-{"schema":4,"event":"heartbeat","metrics":{"routing_orbit_groups_total":6272,"routing_orbit_families_total":98}}
-{"schema":4,"event":"heartbeat","metrics":{"routing_paths_verified_total":100}}`
-	s, err := Summarize(strings.NewReader(journal))
+// TestCollectTracesMixedSchemas: a journal accumulated across binary
+// versions must read the run records exactly as if the foreign ones
+// were absent.
+func TestCollectTracesMixedSchemas(t *testing.T) {
+	ts, err := CollectTraces(strings.NewReader(mixedJournal))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.OrbitGroups != 6272 || s.OrbitFamilies != 98 {
-		t.Fatalf("orbit counters = %v/%v, want 6272/98", s.OrbitGroups, s.OrbitFamilies)
+	if ts.Records != 6 || ts.Skipped != 1 {
+		t.Fatalf("records=%d skipped=%d, want 6/1", ts.Records, ts.Skipped)
 	}
-	out := s.Format()
-	if !strings.Contains(out, "6272 orbits collapsed into 98 shared-chain families (64.0 orbits/family)") {
-		t.Fatalf("format missing orbit line:\n%s", out)
+	// Exactly one run: spans, heartbeats and the unknown event must not
+	// fabricate traces of their own.
+	if len(ts.Traces) != 1 {
+		t.Fatalf("traces = %+v", ts.Traces)
 	}
-
-	// Stage-1 journals report groups but no families: no fan-in ratio.
-	s2, err := Summarize(strings.NewReader(
-		`{"schema":4,"event":"heartbeat","metrics":{"routing_orbit_groups_total":512}}`))
-	if err != nil {
-		t.Fatal(err)
+	tr := ts.Traces[0]
+	if len(tr.Spans) != 1 || tr.Heartbeats != 1 || tr.Starts != 1 || len(tr.Shards) != 1 {
+		t.Fatalf("trace contents = %+v", tr)
 	}
-	out2 := s2.Format()
-	if !strings.Contains(out2, "512 orbits collapsed\n") || strings.Contains(out2, "family") {
-		t.Fatalf("stage-1 orbit line wrong:\n%s", out2)
+	if tr.Final == nil || tr.Final.Paths != 9834496 {
+		t.Fatalf("final = %+v", tr.Final)
 	}
 }
 
-// TestSpanHeartbeatRoundTrip: schema-2 fields survive Emit/Summarize.
+// TestSpanHeartbeatRoundTrip: schema-2 fields survive Emit and
+// CollectTracesFiles.
 func TestSpanHeartbeatRoundTrip(t *testing.T) {
 	w, path := testWriter(t)
 	if err := w.Emit(Record{Event: EventSpan, Span: "checkpoint_persist",
@@ -231,11 +206,14 @@ func TestSpanHeartbeatRoundTrip(t *testing.T) {
 			t.Fatalf("journal missing %q:\n%s", want, data)
 		}
 	}
-	s, err := SummarizeFile(path)
+	ts, err := CollectTracesFiles(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Spans != 1 || s.Heartbeats != 1 || s.Records != 2 {
-		t.Fatalf("summary = %+v", s)
+	if ts.Records != 2 || len(ts.Traces) != 1 {
+		t.Fatalf("trace set = %+v", ts)
+	}
+	if tr := ts.Traces[0]; len(tr.Spans) != 1 || tr.Heartbeats != 1 {
+		t.Fatalf("trace = %+v", tr)
 	}
 }

@@ -1,18 +1,17 @@
 package runlog
 
-// Trace-grouped journal analysis: the engine behind cmd/routelog.
-// Where Summarize rolls a journal up per (tool, alg, k) configuration,
-// CollectTraces groups records by their schema-3 trace identity and
-// keeps the per-record timing, so one journal reconstructs what a run
-// actually did: a span waterfall (which shard enumerations overlapped,
-// where checkpoint persists sat), per-span-name latency percentiles,
-// and the shard-completion timeline. Records without a trace field
-// (schema-1/2 journals, daemon-level events) group by job ID when
-// present, else by (tool, alg, k), so pre-trace journals still render.
+// Trace-grouped journal analysis: the one journal reader, behind
+// cmd/routelog. CollectTraces groups records by their schema-3 trace
+// identity and keeps the per-record timing, so one journal
+// reconstructs what a run actually did: a span waterfall (which
+// shard enumerations overlapped, where checkpoint persists sat),
+// per-span-name latency percentiles, and the shard-completion
+// timeline. Records without a trace field (schema-1/2 journals,
+// daemon-level events) group by job ID when present, else by (tool,
+// alg, k), so pre-trace journals still render.
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -93,9 +92,9 @@ func (t *Trace) observe(from, to time.Time) {
 	}
 }
 
-// CollectTraces parses a journal stream into traces. Like Summarize,
-// unparsable lines (torn tails, other formats) count as Skipped and
-// are never fatal; parsable records with an unparsable timestamp are
+// CollectTraces parses a journal stream into traces. Lines ParseRecord
+// rejects (torn tails, other formats) count as Skipped and are never
+// fatal; parsable records with an unparsable timestamp are
 // kept but cannot widen the trace's time extent.
 func CollectTraces(r io.Reader) (*TraceSet, error) {
 	ts := &TraceSet{}
@@ -107,8 +106,8 @@ func CollectTraces(r io.Reader) (*TraceSet, error) {
 		if line == "" {
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Event == "" {
+		rec, ok := ParseRecord(line)
+		if !ok {
 			ts.Skipped++
 			continue
 		}
@@ -230,8 +229,9 @@ func (t *Trace) merge(o *Trace) {
 	}
 }
 
-// Header renders the one-line trace summary.
-func (t *Trace) Header() string {
+// Ident renders the trace's identity: its ID and, for a traced run,
+// the tool, algorithm, depth and job that ran it.
+func (t *Trace) Ident() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "trace %s", t.ID)
 	if t.Traced {
@@ -246,6 +246,16 @@ func (t *Trace) Header() string {
 			fmt.Fprintf(&b, " job=%s", t.Job)
 		}
 	}
+	return b.String()
+}
+
+// Header renders the one-line trace summary: the identity, what the
+// journal holds of the run, and how it ended — for a finished run with
+// its final record's elapsed time and paths/s, the figures to compare
+// when one run is slower than the last.
+func (t *Trace) Header() string {
+	var b strings.Builder
+	b.WriteString(t.Ident())
 	fmt.Fprintf(&b, ": %d spans, %d shard events, %d heartbeats", len(t.Spans), len(t.Shards), t.Heartbeats)
 	if !t.Start.IsZero() {
 		fmt.Fprintf(&b, ", %.3fs", t.End.Sub(t.Start).Seconds())
@@ -259,6 +269,9 @@ func (t *Trace) Header() string {
 		fmt.Fprintf(&b, " — paused at %d paths", t.Final.Paths)
 	default:
 		fmt.Fprintf(&b, " — final paths=%d", t.Final.Paths)
+		if t.Final.ElapsedSec > 0 {
+			fmt.Fprintf(&b, " in %.2fs (%.0f paths/s)", t.Final.ElapsedSec, t.Final.PathsPerSec)
+		}
 	}
 	for _, v := range t.Violations {
 		fmt.Fprintf(&b, "\n  VIOLATION: %s", v)
@@ -400,7 +413,8 @@ func (t *Trace) ShardTimeline(buckets, width int) string {
 	}
 	per := window / float64(buckets)
 	for i, bk := range bs {
-		bar := strings.Repeat("#", int(float64(bk.paths)/float64(maxPaths)*float64(width)))
+		// A journal is outside input: a negative shard_paths draws no bar.
+		bar := strings.Repeat("#", max(0, int(float64(bk.paths)/float64(maxPaths)*float64(width))))
 		fmt.Fprintf(&b, "  %8.3fs-%8.3fs  %3d shards %12d paths  %s\n",
 			float64(i)*per, float64(i+1)*per, bk.shards, bk.paths, bar)
 	}

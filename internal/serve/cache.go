@@ -42,15 +42,6 @@ func statsOf(st routing.Stats) statsDoc {
 	}
 }
 
-// certificate renders the deterministic certificate line — the same
-// field set and format as routecheck's `stats:` line (minus the
-// prefix), so an interrupted-and-resumed daemon run can be compared
-// byte-for-byte against an uninterrupted one.
-func certificate(st routing.Stats) string {
-	return fmt.Sprintf("paths=%d totalHits=%d maxVertexHits=%d maxMetaHits=%d bound=%d adjChecked=%d",
-		st.NumPaths, st.TotalHits, st.MaxVertexHits, st.MaxMetaHits, st.Bound, st.AdjacencyChecked)
-}
-
 // cacheEntry is one cached certificate.
 type cacheEntry struct {
 	Key         string   `json:"key"`

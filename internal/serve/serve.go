@@ -340,17 +340,6 @@ type metrics struct {
 	coalesced                    *obs.Counter
 	queueDepth, running          *obs.Gauge
 	jobSeconds                   *obs.Histogram
-	// Labeled families: the same service events, split by outcome so
-	// one dashboard query distinguishes hit/miss/coalesced submissions
-	// and done/resumed/failed/paused runs. The unlabeled counters above
-	// remain the stable scripting surface.
-	submissions *obs.CounterVec   // outcome: hit | miss | coalesced
-	finished    *obs.CounterVec   // outcome: done | resumed | failed | paused
-	jobDuration *obs.HistogramVec // outcome: done | resumed | failed
-	// Cost attribution (observed once per job at its terminal state,
-	// with the totals accumulated across every crash/resume leg).
-	queueWait  *obs.HistogramVec // outcome: done | resumed | failed
-	cpuSeconds *obs.HistogramVec // outcome: done | resumed | failed
 }
 
 // New builds a Server over opts.DataDir and recovers every incomplete
@@ -410,21 +399,6 @@ func New(opts Options) (*Server, error) {
 				"jobs currently enumerating"),
 			jobSeconds: reg.Histogram("serve_job_seconds",
 				"wall time of one enumeration run (cache hits excluded)", obs.LatencyBuckets),
-			submissions: reg.CounterVec("serve_submissions_total",
-				"job submissions by outcome (hit = result cache, miss = enumeration run, coalesced = joined an in-flight run)",
-				"outcome"),
-			finished: reg.CounterVec("serve_jobs_finished_total",
-				"enumeration runs reaching a terminal or drained state, by outcome",
-				"outcome"),
-			jobDuration: reg.HistogramVec("serve_job_duration_seconds",
-				"wall time of one enumeration run, by outcome", obs.LatencyBuckets,
-				"outcome"),
-			queueWait: reg.HistogramVec("serve_job_queue_wait_seconds",
-				"total time a job spent queued before its legs ran, by outcome",
-				obs.LatencyBuckets, "outcome"),
-			cpuSeconds: reg.HistogramVec("serve_job_cpu_seconds",
-				"process CPU seconds attributed to a job across its legs, by outcome",
-				obs.LatencyBuckets, "outcome"),
 		},
 	}
 	if opts.Journal != nil {
@@ -484,19 +458,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // its algorithm from the catalog.
 func (s *Server) normalize(spec JobSpec) (JobSpec, *bilinear.Algorithm, error) {
 	spec.Alg = strings.TrimSpace(spec.Alg)
-	var alg *bilinear.Algorithm
-	for _, a := range bilinear.All() {
-		if a.Name == spec.Alg {
-			alg = a
-			break
-		}
-	}
-	if alg == nil {
-		names := make([]string, 0, 8)
-		for _, a := range bilinear.All() {
-			names = append(names, a.Name)
-		}
-		return spec, nil, fmt.Errorf("unknown algorithm %q (catalog: %s)", spec.Alg, strings.Join(names, ", "))
+	alg, err := bilinear.ByName(spec.Alg)
+	if err != nil {
+		return spec, nil, err
 	}
 	if spec.K < 1 || spec.K > s.opts.MaxK {
 		return spec, nil, fmt.Errorf("k = %d out of range [1, %d]", spec.K, s.opts.MaxK)
@@ -551,7 +515,6 @@ func (s *Server) SubmitTrace(spec JobSpec, trace string) (*Job, error) {
 		j.coalesced++
 		j.mu.Unlock()
 		s.met.coalesced.Inc()
-		s.met.submissions.With("coalesced").Inc()
 		return j, nil
 	}
 	// Content-addressed cache: certificates computed by any earlier
@@ -559,7 +522,6 @@ func (s *Server) SubmitTrace(spec JobSpec, trace string) (*Job, error) {
 	// restarts) come back without enumerating anything.
 	if e := s.cache.get(key); e != nil {
 		s.met.cacheHits.Inc()
-		s.met.submissions.With("hit").Inc()
 		j := s.newJobLocked(spec, alg, key, trace)
 		j.state, j.cached = StateDone, true
 		stats := e.Stats
@@ -571,7 +533,6 @@ func (s *Server) SubmitTrace(spec JobSpec, trace string) (*Job, error) {
 		return j, nil
 	}
 	s.met.cacheMisses.Inc()
-	s.met.submissions.With("miss").Inc()
 
 	j := s.newJobLocked(spec, alg, key, trace)
 	if err := s.persistSpec(j); err != nil {
@@ -727,19 +688,13 @@ func (s *Server) runJob(j *Job) {
 	switch {
 	case err == nil:
 		s.met.jobSeconds.Observe(elapsed.Seconds())
-		outcome := "done"
-		if resumed {
-			outcome = "resumed"
-		}
-		s.met.finished.With(outcome).Inc()
-		s.met.completed.Inc() // before the state flips, as finished is
-		s.met.jobDuration.With(outcome).Observe(elapsed.Seconds())
+		// Counted before the state flips, so a client that sees the job
+		// done also sees it counted.
+		s.met.completed.Inc()
 		cur = j.finishAccounting(st.NumPaths)
-		s.met.queueWait.With(outcome).Observe(cur.QueueWaitSeconds)
-		s.met.cpuSeconds.With(outcome).Observe(cur.CPUSeconds)
 		finalRec.Resources = cur.runlog()
 		doc := statsOf(st)
-		cert := certificate(st)
+		cert := st.Certificate()
 		j.mu.Lock()
 		j.state, j.stats, j.cert = StateDone, &doc, cert
 		j.mu.Unlock()
@@ -763,7 +718,6 @@ func (s *Server) runJob(j *Job) {
 		// The paused final record still carries the accumulated
 		// Resources so far, so journals merged across generations show
 		// the cost trajectory leg by leg.
-		s.met.finished.With("paused").Inc()
 		j.mu.Lock()
 		j.state = StateQueued
 		j.queuedAt = time.Now() // the next leg's wait starts now
@@ -775,11 +729,7 @@ func (s *Server) runJob(j *Job) {
 			fmt.Fprintf(os.Stderr, "serve: persist %s: %v\n", j.id, err)
 		}
 	default:
-		s.met.finished.With("failed").Inc()
-		s.met.jobDuration.With("failed").Observe(elapsed.Seconds())
 		cur = j.finishAccounting(0)
-		s.met.queueWait.With("failed").Observe(cur.QueueWaitSeconds)
-		s.met.cpuSeconds.With("failed").Observe(cur.CPUSeconds)
 		finalRec.Resources = cur.runlog()
 		j.mu.Lock()
 		j.state, j.errMsg = StateFailed, err.Error()

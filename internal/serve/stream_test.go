@@ -337,13 +337,6 @@ func TestTracePropagation(t *testing.T) {
 	}
 	// The engine's spans made it through the context: a job_run span
 	// plus per-shard spans.
-	sum, err := runlog.SummarizeFile(journalPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Traces != 1 {
-		t.Fatalf("journal traces = %d, want 1", sum.Traces)
-	}
 	ttt, err := runlog.CollectTracesFiles(journalPath)
 	if err != nil {
 		t.Fatal(err)
@@ -450,37 +443,6 @@ func TestHealthDraining(t *testing.T) {
 	}
 	if _, err := s.Submit(JobSpec{Alg: "strassen", K: 1}); err != ErrDraining {
 		t.Fatalf("submit while draining: %v", err)
-	}
-}
-
-// TestLabeledServeMetrics: the outcome-labeled families track hits,
-// misses, coalesced submissions, and finished runs.
-func TestLabeledServeMetrics(t *testing.T) {
-	s := newTestServer(t, Options{})
-	s.Start()
-	j, err := s.Submit(JobSpec{Alg: "strassen", K: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitTerminal(t, s, j.ID())
-	if _, err := s.Submit(JobSpec{Alg: "strassen", K: 2}); err != nil { // cache hit
-		t.Fatal(err)
-	}
-	snap := s.reg.Snapshot()
-	for series, want := range map[string]float64{
-		`serve_submissions_total{outcome="miss"}`:          1,
-		`serve_submissions_total{outcome="hit"}`:           1,
-		`serve_jobs_finished_total{outcome="done"}`:        1,
-		`serve_job_duration_seconds_count{outcome="done"}`: 1,
-	} {
-		if snap[series] != want {
-			t.Fatalf("%s = %v, want %v (snapshot %v)", series, snap[series], want, snap)
-		}
-	}
-	// One derived TraceContext per job must not have leaked labels into
-	// the unlabeled scripting surface.
-	if snap["serve_jobs_completed_total"] != 1 || snap["serve_result_cache_hits_total"] != 1 {
-		t.Fatalf("unlabeled counters drifted: %v", snap)
 	}
 }
 
